@@ -1,8 +1,7 @@
 // Microbenchmarks of the engine step loops — the per-step cost of the DES instances
 // (decode lanes, prefill batch launches, the colocated baseline) and of the fast placement
 // simulator. These loops dominate every end-to-end figure run; the perf-smoke CI job tracks
-// them, and the /cache:0 vs /cache:1 variants isolate what the StepTimeCache contributes
-// (results are bit-identical either way; only wall time may differ).
+// them.
 //
 // When the DISTSERVE_PROF_JSON environment variable names a file and the build has
 // DISTSERVE_PROF=ON, the accumulated zone profile is written there after the run.
@@ -17,7 +16,6 @@
 #include "engine/colocated_instance.h"
 #include "engine/decode_instance.h"
 #include "engine/prefill_instance.h"
-#include "model/step_time_cache.h"
 #include "placement/fast_sim.h"
 #include "simcore/simulator.h"
 #include "workload/dataset.h"
@@ -43,7 +41,6 @@ void BM_DecodeEngineSteps(benchmark::State& state) {
                                cluster::GpuSpec::A100_80GB());
   const workload::Trace trace = MakeTrace(/*rate=*/8.0, /*num_requests=*/1024, /*seed=*/7);
   engine::DecodeInstance::Options options;
-  options.enable_step_time_cache = state.range(0) != 0;
   int64_t tokens = 0;
   for (auto _ : state) {
     simcore::Simulator sim;
@@ -64,8 +61,7 @@ void BM_DecodeEngineSteps(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tokens);
   state.counters["steps"] = static_cast<double>(tokens);
 }
-BENCHMARK(BM_DecodeEngineSteps)->Arg(0)->Arg(1)->ArgName("cache");
-
+BENCHMARK(BM_DecodeEngineSteps);
 
 // Steady-state decode lanes at a fixed small batch: 8 identical requests join at t=0 and
 // step together for 2048 generated tokens each across pp=2 lanes. At this lane batch size
@@ -82,7 +78,6 @@ void BM_DecodeSteadyStateSteps(benchmark::State& state) {
   spec.seed = 3;
   const workload::Trace trace = workload::GenerateTrace(spec, dataset);
   engine::DecodeInstance::Options options;
-  options.enable_step_time_cache = state.range(0) != 0;
   int64_t tokens = 0;
   for (auto _ : state) {
     simcore::Simulator sim;
@@ -99,7 +94,7 @@ void BM_DecodeSteadyStateSteps(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * tokens);
 }
-BENCHMARK(BM_DecodeSteadyStateSteps)->Arg(0)->Arg(1)->ArgName("cache");
+BENCHMARK(BM_DecodeSteadyStateSteps);
 
 // Prefill batch launches through the L_m batching policy and the pipeline-bubble recurrence
 // (pp=2 exercises the bubble path). KV is released as soon as a batch completes, as the
@@ -109,7 +104,6 @@ void BM_PrefillEngineBatches(benchmark::State& state) {
                                cluster::GpuSpec::A100_80GB());
   const workload::Trace trace = MakeTrace(/*rate=*/64.0, /*num_requests=*/512, /*seed=*/11);
   engine::PrefillInstance::Options options;
-  options.enable_step_time_cache = state.range(0) != 0;
   int64_t batches = 0;
   for (auto _ : state) {
     simcore::Simulator sim;
@@ -130,7 +124,7 @@ void BM_PrefillEngineBatches(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.size()));
   state.counters["batches"] = static_cast<double>(batches);
 }
-BENCHMARK(BM_PrefillEngineBatches)->Arg(0)->Arg(1)->ArgName("cache");
+BENCHMARK(BM_PrefillEngineBatches);
 
 // The colocated (vLLM-style) baseline: mixed prefill+decode iterations with
 // prefill-priority scheduling.
@@ -139,7 +133,6 @@ void BM_ColocatedEngineSteps(benchmark::State& state) {
                                cluster::GpuSpec::A100_80GB());
   const workload::Trace trace = MakeTrace(/*rate=*/8.0, /*num_requests=*/256, /*seed=*/13);
   engine::ColocatedInstance::Options options;
-  options.enable_step_time_cache = state.range(0) != 0;
   int64_t tokens = 0;
   for (auto _ : state) {
     simcore::Simulator sim;
@@ -157,31 +150,24 @@ void BM_ColocatedEngineSteps(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * tokens);
 }
-BENCHMARK(BM_ColocatedEngineSteps)->Arg(0)->Arg(1)->ArgName("cache");
+BENCHMARK(BM_ColocatedEngineSteps);
 
 // The fast placement simulator over a full disaggregated pipeline — the inner loop of every
-// goodput probe in Algorithm 1/2. The cache variant shares one memo per phase model across
-// the whole simulation, as the placement search does across its probes.
+// goodput probe in Algorithm 1/2.
 void BM_FastSimDisaggregated(benchmark::State& state) {
   const model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 1},
                                cluster::GpuSpec::A100_80GB());
   const workload::Trace trace = MakeTrace(/*rate=*/12.0, /*num_requests=*/2000, /*seed=*/17);
-  model::StepTimeCache prefill_cache(&lm);
-  model::StepTimeCache decode_cache(&lm);
   placement::DisaggregatedFastConfig config;
   config.num_prefill = 2;
   config.num_decode = 2;
   config.decode_kv_capacity_tokens = 1 << 20;
-  if (state.range(0) != 0) {
-    config.prefill_step_cache = &prefill_cache;
-    config.decode_step_cache = &decode_cache;
-  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(placement::SimulateDisaggregated(lm, lm, trace, config));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.size()));
 }
-BENCHMARK(BM_FastSimDisaggregated)->Arg(0)->Arg(1)->ArgName("cache");
+BENCHMARK(BM_FastSimDisaggregated);
 
 }  // namespace
 }  // namespace distserve

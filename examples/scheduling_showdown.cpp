@@ -47,7 +47,7 @@ int main() {
     config.par = {1, 1};
     config.num_instances = 8;
     config.engine_options.mode = mode;
-    config.engine_options.chunk_size = 256;
+    config.engine_options.chunk_budget = 256;
     baselines::VllmSystem system(std::move(config));
     return system.Run(trace);
   };

@@ -149,9 +149,6 @@ double SimulateColocatedGoodput(const placement::PlannerInputs& inputs,
   if (fast.kv_capacity_tokens <= 0) {
     return 0.0;
   }
-  // One memo across every probe of this rate search (single-threaded; see fast_sim.h).
-  model::StepTimeCache step_cache(&lm);
-  fast.step_cache = &step_cache;
   auto attainment = [&](const workload::Trace& trace) {
     const std::vector<placement::FastRecord> records =
         placement::SimulateColocated(lm, trace, fast);
@@ -193,8 +190,6 @@ double SimulateChunkedGoodput(const placement::PlannerInputs& inputs,
   if (fast.kv_capacity_tokens <= 0) {
     return 0.0;
   }
-  model::StepTimeCache step_cache(&lm);
-  fast.step_cache = &step_cache;
   auto attainment = [&](const workload::Trace& trace) {
     const std::vector<placement::FastRecord> records =
         placement::SimulateColocated(lm, trace, fast);

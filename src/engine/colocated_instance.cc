@@ -14,8 +14,6 @@ ColocatedInstance::ColocatedInstance(simcore::Simulator* sim,
                                      int64_t kv_capacity_tokens, Options options, int id)
     : sim_(sim),
       latency_model_(std::move(latency_model)),
-      step_cache_(&latency_model_,
-                  options.enable_step_time_cache ? model::StepTimeCache::kDefaultCapacity : 0),
       kv_(kv_capacity_tokens, options.kv_block_size),
       options_(options),
       id_(id) {
@@ -24,8 +22,9 @@ ColocatedInstance::ColocatedInstance(simcore::Simulator* sim,
       << "the colocated (vLLM) baseline supports intra-op parallelism only";
   DS_CHECK_GT(options_.max_batch_size, 0);
   DS_CHECK_GT(options_.max_prefill_tokens_per_step, 0);
-  DS_CHECK_GT(options_.chunk_size, 0);
-  DS_CHECK_GE(options_.chunk_budget, 0);
+  if (options_.mode == Options::SchedulingMode::kChunked) {
+    DS_CHECK_GT(options_.chunk_budget, 0) << "kChunked needs a positive per-step token budget";
+  }
 }
 
 void ColocatedInstance::Enqueue(RequestState* request) {
@@ -196,36 +195,22 @@ void ColocatedInstance::MaybeStep() {
   int64_t prefill_tokens_in_step = 0;
   if (!prefilling_.empty()) {
     if (options_.mode == Options::SchedulingMode::kChunked) {
-      if (options_.chunk_budget > 0) {
-        // Sarathi-style token budget: resident decodes claim one token each; prompt chunks
-        // from as many prompts as fit fill the remainder, FCFS in admission order.
-        int64_t budget =
-            options_.chunk_budget - static_cast<int64_t>(decoding_.size());
-        auto it = prefilling_.begin();
-        while (budget > 0 && it != prefilling_.end()) {
-          RequestState* head = *it;
-          const int64_t remaining = head->request.input_len - head->prefill_tokens_done;
-          const int64_t chunk = std::min(remaining, budget);
-          AddPrefillWork(head, chunk, &workload);
-          prefill_tokens_in_step += chunk;
-          budget -= chunk;
-          if (head->prefill_tokens_done == head->request.input_len) {
-            prefilled_now.push_back(head);
-            it = prefilling_.erase(it);
-          } else {
-            ++it;  // budget exhausted mid-prompt; the next step continues this window
-          }
-        }
-      } else {
-        // Legacy SARATHI shape: one chunk from the head prompt per step.
-        RequestState* head = prefilling_.front();
-        const int remaining = head->request.input_len - head->prefill_tokens_done;
-        const int chunk = std::min(options_.chunk_size, remaining);
+      // Sarathi-style token budget: resident decodes claim one token each; prompt chunks
+      // from as many prompts as fit fill the remainder, FCFS in admission order.
+      int64_t budget = options_.chunk_budget - static_cast<int64_t>(decoding_.size());
+      auto it = prefilling_.begin();
+      while (budget > 0 && it != prefilling_.end()) {
+        RequestState* head = *it;
+        const int64_t remaining = head->request.input_len - head->prefill_tokens_done;
+        const int64_t chunk = std::min(remaining, budget);
         AddPrefillWork(head, chunk, &workload);
         prefill_tokens_in_step += chunk;
+        budget -= chunk;
         if (head->prefill_tokens_done == head->request.input_len) {
           prefilled_now.push_back(head);
-          prefilling_.pop_front();
+          it = prefilling_.erase(it);
+        } else {
+          ++it;  // budget exhausted mid-prompt; the next step continues this window
         }
       }
     } else {
@@ -270,7 +255,7 @@ void ColocatedInstance::MaybeStep() {
     return;  // Idle; the next Enqueue re-arms the loop.
   }
 
-  const double step_time = step_cache_.FullTime(workload) + options_.cpu_overhead_per_step;
+  const double step_time = latency_model_.FullTime(workload) + options_.cpu_overhead_per_step;
   DS_TRACE(recorder_, InstanceSpan(trace::ColocatedPid(id_), 0, trace::SpanKind::kEngineStep,
                                    sim_->now(), sim_->now() + step_time, steps_executed_));
   step_in_flight_ = true;

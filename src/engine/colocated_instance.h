@@ -14,11 +14,10 @@
 //   * kMixed (Orca-style): prompts and decodes share one batch; interference appears as the
 //     roofline `max()` stretching the shared step;
 //   * kChunked (SARATHI): prompts split into chunks piggybacked onto decodes — trading TTFT
-//     for TPOT, as §2.2 describes. With Options::chunk_budget set, every step carries a fixed
-//     token budget shared by the resident decodes (one token each) and prompt chunks from as
-//     many waiting prompts as fit — the Sarathi-style chunked-prefill colocation "Beyond the
-//     Buzz" argues can rival disaggregation. chunk_budget == 0 keeps the legacy
-//     one-chunk-from-the-head-prompt-per-step behaviour.
+//     for TPOT, as §2.2 describes. Every step carries a fixed token budget
+//     (Options::chunk_budget) shared by the resident decodes (one token each) and prompt
+//     chunks from as many waiting prompts as fit — the Sarathi-style chunked-prefill
+//     colocation "Beyond the Buzz" argues can rival disaggregation.
 //
 // Scenario support (all inert on unannotated traces):
 //   * prefix-cache hits (workload::Request::cached_prefix_len) skip prefill *compute* — the
@@ -39,7 +38,6 @@
 #include "engine/kv_block_manager.h"
 #include "engine/request_state.h"
 #include "model/latency_model.h"
-#include "model/step_time_cache.h"
 #include "simcore/simulator.h"
 
 namespace distserve::trace {
@@ -61,22 +59,15 @@ class ColocatedInstance {
     int max_batch_size = 256;
     // Prefill tokens admitted into one step (vLLM's max_num_batched_tokens analogue).
     int64_t max_prefill_tokens_per_step = 4096;
-    int chunk_size = 512;  // kChunked only
     // kChunked only: per-step token budget shared by resident decodes (one token each) and
-    // prompt chunks filling the remainder, across multiple prompts. 0 = legacy behaviour
-    // (exactly one chunk_size chunk from the head prompt per step).
-    int64_t chunk_budget = 0;
+    // prompt chunks filling the remainder, across multiple prompts. Must be > 0.
+    int64_t chunk_budget = 512;
     int kv_block_size = 16;
     // Host-side scheduler/runtime overhead added to every iteration. The 2023-era vLLM the
     // paper evaluates runs a Python scheduling loop costing O(ms) per iteration — one of the
     // stated motivations for DistServe's C++ engine (§5). Zero by default; the vLLM baseline
     // sets kVllmStepCpuOverhead.
     double cpu_overhead_per_step = 0.0;
-    // Memoize step times through a StepTimeCache (bit-identical either way). Off by
-    // default: profiling shows engine-loop workload signatures almost never repeat (the
-    // decode context sum grows every step), so the memo is pure lookup overhead here; it
-    // pays only where signatures recur (see model/step_time_cache.h).
-    bool enable_step_time_cache = false;
   };
 
   ColocatedInstance(simcore::Simulator* sim, model::LatencyModel latency_model,
@@ -141,7 +132,6 @@ class ColocatedInstance {
 
   simcore::Simulator* sim_;
   model::LatencyModel latency_model_;
-  model::StepTimeCache step_cache_;  // bound to latency_model_; lifetime matches
   KvBlockManager kv_;
   Options options_;
   int id_;

@@ -12,8 +12,6 @@ PrefillInstance::PrefillInstance(simcore::Simulator* sim, model::LatencyModel la
                                  int64_t kv_capacity_tokens, Options options, int id)
     : sim_(sim),
       latency_model_(std::move(latency_model)),
-      step_cache_(&latency_model_,
-                  options.enable_step_time_cache ? model::StepTimeCache::kDefaultCapacity : 0),
       kv_(kv_capacity_tokens, options.kv_block_size),
       options_(options),
       id_(id) {
@@ -137,8 +135,8 @@ void PrefillInstance::OnLaunchEvent() {
     DS_CHECK(reserved) << "KV reservation failed after CanReserve admission";
     queued_tokens_ -= r->request.input_len;
   }
-  const double stage_time = step_cache_.StageTime(workload);
-  const double full_time = step_cache_.FullTime(workload);
+  const double stage_time = latency_model_.StageTime(workload);
+  const double full_time = latency_model_.FullTime(workload);
 
   // Pipeline-bubble recurrence: entry >= prev_entry + T_prev + (pp-1)*max(0, T_prev - T_this).
   const int pp = latency_model_.par().pp;

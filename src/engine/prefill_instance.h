@@ -24,7 +24,6 @@
 #include "engine/kv_block_manager.h"
 #include "engine/request_state.h"
 #include "model/latency_model.h"
-#include "model/step_time_cache.h"
 #include "simcore/simulator.h"
 
 namespace distserve::trace {
@@ -38,11 +37,6 @@ class PrefillInstance {
   struct Options {
     PrefillBatchPolicy batch_policy;
     int kv_block_size = 16;
-    // Memoize step times through a StepTimeCache (bit-identical either way). Off by
-    // default: profiling shows engine-loop workload signatures almost never repeat (the
-    // decode context sum grows every step), so the memo is pure lookup overhead here; it
-    // pays only where signatures recur (see model/step_time_cache.h).
-    bool enable_step_time_cache = false;
   };
 
   PrefillInstance(simcore::Simulator* sim, model::LatencyModel latency_model,
@@ -101,7 +95,6 @@ class PrefillInstance {
 
   simcore::Simulator* sim_;
   model::LatencyModel latency_model_;
-  model::StepTimeCache step_cache_;  // bound to latency_model_; lifetime matches
   KvBlockManager kv_;
   Options options_;
   int id_;

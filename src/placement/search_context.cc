@@ -69,13 +69,9 @@ double SimulatePrefillRate(const PlannerInputs& inputs, const model::Parallelism
                            const GoodputSearchOptions& search, GoodputSearchStats* stats) {
   const model::LatencyModel lm = MakeLm(inputs, par);
   const int64_t target_tokens = std::max<int64_t>(512, lm.ComputeSaturationTokens());
-  // One memo across every probe of this rate search: batch signatures recur heavily between
-  // probes at different rates. The whole search runs on one pool worker, so the cache never
-  // crosses threads.
-  model::StepTimeCache step_cache(&lm);
   auto attainment = [&](const workload::Trace& trace) {
-    const std::vector<double> finish = SimulatePrefillFinishTimes(
-        lm, trace, target_tokens, kPrefillMaxBatch, &step_cache);
+    const std::vector<double> finish =
+        SimulatePrefillFinishTimes(lm, trace, target_tokens, kPrefillMaxBatch);
     int64_t ok = 0;
     for (size_t i = 0; i < trace.size(); ++i) {
       if (finish[i] - trace[i].arrival_time <= inputs.slo.ttft) {
@@ -94,15 +90,13 @@ double SimulateDecodeRate(const PlannerInputs& inputs, const model::ParallelismC
   if (kv_capacity <= 0) {
     return 0.0;
   }
-  // As in SimulatePrefillRate: one memo across every probe of this single-threaded search.
-  model::StepTimeCache step_cache(&lm);
   auto attainment = [&](const workload::Trace& trace) {
     std::vector<double> ready(trace.size());
     for (size_t i = 0; i < trace.size(); ++i) {
       ready[i] = trace[i].arrival_time;
     }
-    const std::vector<double> tpots = SimulateDecodeTpots(lm, kv_capacity, trace, ready,
-                                                          inputs.decode_max_batch, &step_cache);
+    const std::vector<double> tpots =
+        SimulateDecodeTpots(lm, kv_capacity, trace, ready, inputs.decode_max_batch);
     int64_t ok = 0;
     for (double t : tpots) {
       if (t <= inputs.slo.tpot) {

@@ -1,6 +1,8 @@
 #include "workload/trace_io.h"
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
@@ -13,7 +15,8 @@ constexpr char kTraceHeader[] = "id,arrival_time,input_len,output_len";
 
 void WriteTraceCsv(std::ostream& out, const Trace& trace) {
   out << kTraceHeader << "\n";
-  out.precision(9);
+  // Enough digits that every arrival time reads back as the identical double.
+  out.precision(std::numeric_limits<double>::max_digits10);
   for (const Request& r : trace) {
     out << r.id << "," << r.arrival_time << "," << r.input_len << "," << r.output_len << "\n";
   }
@@ -36,11 +39,16 @@ std::optional<Trace> ReadTraceCsv(std::istream& in) {
     char c1 = 0;
     char c2 = 0;
     char c3 = 0;
+    char trailing = 0;
     if (!(row >> r.id >> c1 >> r.arrival_time >> c2 >> r.input_len >> c3 >> r.output_len) ||
-        c1 != ',' || c2 != ',' || c3 != ',') {
+        c1 != ',' || c2 != ',' || c3 != ',' || (row >> trailing)) {
       return std::nullopt;
     }
     if (r.input_len < 1 || r.output_len < 1 || r.arrival_time < last_arrival) {
+      return std::nullopt;
+    }
+    // Request::total_len() is an int.
+    if (int64_t{r.input_len} + r.output_len > std::numeric_limits<int>::max()) {
       return std::nullopt;
     }
     last_arrival = r.arrival_time;

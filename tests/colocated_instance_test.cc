@@ -129,14 +129,25 @@ TEST_F(ColocatedInstanceTest, OverBudgetHeadStillRuns) {
 TEST_F(ColocatedInstanceTest, ChunkedPrefillSplitsPrompt) {
   ColocatedInstance::Options options;
   options.mode = ColocatedInstance::Options::SchedulingMode::kChunked;
-  options.chunk_size = 256;
+  options.chunk_budget = 256;
   auto instance = MakeInstance(options);
   RequestState* r = NewRequest(1000, 2);
   instance->Enqueue(r);
   sim_.Run();
   ASSERT_EQ(completed_.size(), 1u);
+  // No resident decodes, so each step's whole budget goes to the prompt:
   // ceil(1000/256) = 4 prefill steps + 1 decode step.
   EXPECT_EQ(instance->steps_executed(), 5);
+}
+
+TEST_F(ColocatedInstanceTest, ChunkedRejectsNonPositiveBudget) {
+  // A zero budget would leave every prompt unscheduled; the constructor refuses it.
+  for (int64_t budget : {int64_t{0}, int64_t{-1}}) {
+    ColocatedInstance::Options options;
+    options.mode = ColocatedInstance::Options::SchedulingMode::kChunked;
+    options.chunk_budget = budget;
+    EXPECT_DEATH(MakeInstance(options), "positive per-step token budget");
+  }
 }
 
 TEST_F(ColocatedInstanceTest, ChunkedPrefillImprovesTpotUnderLoad) {
@@ -147,7 +158,7 @@ TEST_F(ColocatedInstanceTest, ChunkedPrefillImprovesTpotUnderLoad) {
     ColocatedInstance::Options options;
     options.mode = chunked ? ColocatedInstance::Options::SchedulingMode::kChunked
                            : ColocatedInstance::Options::SchedulingMode::kPrefillPriority;
-    options.chunk_size = 128;
+    options.chunk_budget = 128;
     model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 1}, cluster::GpuSpec::A100_80GB());
     ColocatedInstance instance(&sim, lm, 1 << 20, options, 0);
     std::vector<std::unique_ptr<RequestState>> states;

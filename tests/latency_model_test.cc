@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "cluster/gpu_spec.h"
 
 namespace distserve::model {
+
+// Found by ADL when gtest names the AllModelsLatencyTest cases. Without it gtest dumps
+// the raw bytes of the ModelSpec, including the heap address held by `name`, so every
+// process would list those cases under a different name.
+static void PrintTo(const ModelSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 using cluster::GpuSpec;

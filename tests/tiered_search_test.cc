@@ -3,7 +3,7 @@
 // Three layers of bit-identity back the analytic tier's "skips, never verdict changes"
 // contract, and each gets its own tests here:
 //   1. LatencyModel::EvaluateBatch == scalar StageTime/FullTime, bit for bit, including
-//      denormal / huge / empty boundary points (with and without a StepTimeCache in front);
+//      denormal / huge / empty boundary points;
 //   2. the run-batched decode probe loop == the original per-step scalar loop;
 //   3. the planner's chosen plan with use_analytic_tier on == off, across algorithms,
 //      seeds, traffic rates, and a degraded-cluster replan — while tier-on runs strictly
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cluster/gpu_spec.h"
-#include "model/step_time_cache.h"
 #include "placement/algorithms.h"
 #include "placement/analytic_tier.h"
 #include "placement/fast_sim.h"
@@ -91,31 +90,6 @@ TEST(BatchedEvalTest, SingleMetricSpansAndEmptyLattice) {
   // Round-trip: the lattice stores the exact fields.
   for (size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(lattice.At(i).prefill_sq_tokens, points[i].prefill_sq_tokens);
-  }
-}
-
-TEST(BatchedEvalTest, StepTimeCacheBatchedMatchesScalar) {
-  const model::LatencyModel lm = Lm13B(2, 1);
-  std::vector<model::BatchWorkload> points = BoundaryPoints();
-  // Duplicates inside one call: the second occurrence must be served from the insert of the
-  // first (or priced identically — either way the value is model-exact).
-  points.insert(points.end(), points.begin(), points.begin() + 5);
-  const model::BatchWorkloadLattice lattice = MakeLattice(points);
-  // Capacity 4 forces slot collisions; capacity 0 disables memoization entirely.
-  for (size_t capacity : {size_t{0}, size_t{4}, model::StepTimeCache::kDefaultCapacity}) {
-    model::StepTimeCache cache(&lm, capacity);
-    std::vector<double> stage(points.size()), full(points.size());
-    cache.StageTimes(lattice, stage);
-    cache.FullTimes(lattice, full);
-    for (size_t i = 0; i < points.size(); ++i) {
-      EXPECT_EQ(stage[i], lm.StageTime(points[i])) << "capacity=" << capacity << " i=" << i;
-      EXPECT_EQ(full[i], lm.FullTime(points[i])) << "capacity=" << capacity << " i=" << i;
-    }
-    // Re-running the same lattice through a live cache must answer from the memo, still exact.
-    cache.StageTimes(lattice, stage);
-    for (size_t i = 0; i < points.size(); ++i) {
-      EXPECT_EQ(stage[i], lm.StageTime(points[i]));
-    }
   }
 }
 
@@ -195,23 +169,13 @@ TEST(DecodeBatchedStepsTest, BitIdenticalToScalarLoop) {
       ready.reserve(trace.size());
       for (const auto& r : trace) ready.push_back(r.arrival_time);
       for (int max_batch : {8, 256}) {
-        const std::vector<double> scalar =
-            SimulateDecodeTpots(lm, int64_t{1} << 20, trace, ready, max_batch,
-                                /*step_cache=*/nullptr, /*batched_steps=*/false);
-        const std::vector<double> batched =
-            SimulateDecodeTpots(lm, int64_t{1} << 20, trace, ready, max_batch,
-                                /*step_cache=*/nullptr, /*batched_steps=*/true);
+        const std::vector<double> scalar = SimulateDecodeTpots(
+            lm, int64_t{1} << 20, trace, ready, max_batch, /*batched_steps=*/false);
+        const std::vector<double> batched = SimulateDecodeTpots(
+            lm, int64_t{1} << 20, trace, ready, max_batch, /*batched_steps=*/true);
         ASSERT_EQ(scalar.size(), batched.size());
         for (size_t i = 0; i < scalar.size(); ++i) {
           EXPECT_EQ(scalar[i], batched[i]) << "pp=" << pp << " rate=" << rate << " i=" << i;
-        }
-        // With a step cache in front, still bit-identical to the scalar reference.
-        model::StepTimeCache cache(&lm);
-        const std::vector<double> cached =
-            SimulateDecodeTpots(lm, int64_t{1} << 20, trace, ready, max_batch, &cache,
-                                /*batched_steps=*/true);
-        for (size_t i = 0; i < scalar.size(); ++i) {
-          EXPECT_EQ(scalar[i], cached[i]) << "pp=" << pp << " rate=" << rate << " i=" << i;
         }
       }
     }
@@ -221,10 +185,10 @@ TEST(DecodeBatchedStepsTest, BitIdenticalToScalarLoop) {
   const workload::Trace trace = VariedTrace(2.0, 60, 11);
   std::vector<double> ready;
   for (const auto& r : trace) ready.push_back(r.arrival_time);
-  const std::vector<double> scalar = SimulateDecodeTpots(lm, 4096, trace, ready, 256, nullptr,
-                                                         /*batched_steps=*/false);
-  const std::vector<double> batched = SimulateDecodeTpots(lm, 4096, trace, ready, 256, nullptr,
-                                                          /*batched_steps=*/true);
+  const std::vector<double> scalar =
+      SimulateDecodeTpots(lm, 4096, trace, ready, 256, /*batched_steps=*/false);
+  const std::vector<double> batched =
+      SimulateDecodeTpots(lm, 4096, trace, ready, 256, /*batched_steps=*/true);
   for (size_t i = 0; i < scalar.size(); ++i) {
     EXPECT_EQ(scalar[i], batched[i]) << i;
   }

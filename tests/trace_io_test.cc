@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "workload/generator.h"
 
@@ -28,7 +29,7 @@ TEST(TraceIoTest, RoundTripPreservesEverything) {
   ASSERT_EQ(loaded->size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ((*loaded)[i].id, original[i].id);
-    EXPECT_NEAR((*loaded)[i].arrival_time, original[i].arrival_time, 1e-6);
+    EXPECT_EQ((*loaded)[i].arrival_time, original[i].arrival_time);
     EXPECT_EQ((*loaded)[i].input_len, original[i].input_len);
     EXPECT_EQ((*loaded)[i].output_len, original[i].output_len);
   }
@@ -48,8 +49,10 @@ TEST(TraceIoTest, RejectsMissingHeader) {
 }
 
 TEST(TraceIoTest, RejectsMalformedRow) {
-  std::stringstream buffer("id,arrival_time,input_len,output_len\n1,0.0,ten,5\n");
-  EXPECT_FALSE(ReadTraceCsv(buffer).has_value());
+  for (const char* row : {"1,0.0,ten,5", "0,0.0,10,5junk", "0,0.0,10,5,"}) {
+    std::stringstream buffer(std::string("id,arrival_time,input_len,output_len\n") + row + "\n");
+    EXPECT_FALSE(ReadTraceCsv(buffer).has_value()) << row;
+  }
 }
 
 TEST(TraceIoTest, RejectsNonMonotoneArrivals) {
@@ -58,8 +61,11 @@ TEST(TraceIoTest, RejectsNonMonotoneArrivals) {
 }
 
 TEST(TraceIoTest, RejectsNonPositiveLengths) {
-  std::stringstream buffer("id,arrival_time,input_len,output_len\n0,0.0,0,5\n");
-  EXPECT_FALSE(ReadTraceCsv(buffer).has_value());
+  // The last row's lengths are each valid ints, but their sum overflows Request::total_len().
+  for (const char* row : {"0,0.0,0,5", "0,0.0,10,0", "0,0.0,2147483647,1"}) {
+    std::stringstream buffer(std::string("id,arrival_time,input_len,output_len\n") + row + "\n");
+    EXPECT_FALSE(ReadTraceCsv(buffer).has_value()) << row;
+  }
 }
 
 TEST(TraceIoTest, FileRoundTrip) {
