@@ -2,7 +2,7 @@
 //
 // LatencyModel::FullTime is evaluated millions of times inside the placement search (every
 // simulated engine step), so its cost bounds planner latency (Figure 12). These benchmarks
-// keep it honest.
+// keep it, and the decode-probe kernel that calls it, honest.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -10,6 +10,9 @@
 #include "cluster/gpu_spec.h"
 #include "model/calibration.h"
 #include "model/latency_model.h"
+#include "placement/fast_sim.h"
+#include "workload/dataset.h"
+#include "workload/generator.h"
 
 namespace distserve::model {
 namespace {
@@ -96,6 +99,34 @@ void BM_LatticeBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(lattice.size()));
 }
 BENCHMARK(BM_LatticeBatched)->Arg(64)->Arg(1024);
+
+// One loaded decode probe of the placement search (DESIGN.md §15): ShareGPT-like traffic at
+// twice a tp1 OPT-13B decode instance's capacity, so admissions cut nearly every run. Arg 0
+// is the per-step scalar loop, arg 1 the step-indexed kernel every planner probe uses; their
+// TPOTs are bit-identical (tiered_search_test), here we only time them. The CI perf gate
+// asserts the kernel beats the loop.
+void BM_FastSimDecodeProbe(benchmark::State& state) {
+  const LatencyModel lm(ModelSpec::Opt13B(), {1, 1}, cluster::GpuSpec::A100_80GB());
+  const int64_t kv_capacity = lm.view().KvCapacityTokens(cluster::GpuSpec::A100_80GB());
+  workload::TraceSpec spec;
+  spec.rate = 14.0;
+  spec.num_requests = 4000;
+  spec.seed = 17;
+  const workload::Trace trace = workload::GenerateTrace(spec, *workload::MakeShareGptLike());
+  std::vector<double> ready;
+  ready.reserve(trace.size());
+  for (const workload::Request& r : trace) {
+    ready.push_back(r.arrival_time);
+  }
+  const bool step_indexed = state.range(0) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(placement::SimulateDecodeTpots(lm, kv_capacity, trace, ready,
+                                                            /*max_batch_size=*/512,
+                                                            step_indexed));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.size()));
+}
+BENCHMARK(BM_FastSimDecodeProbe)->Arg(0)->Arg(1)->ArgName("step_indexed");
 
 void BM_CoefficientFit(benchmark::State& state) {
   const LatencyModel truth(ModelSpec::Opt13B(), {1, 1}, cluster::GpuSpec::A100_80GB());

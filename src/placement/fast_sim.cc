@@ -101,7 +101,7 @@ std::vector<double> PrefillFinishTimesView(const model::LatencyModel& lm, const 
   return finish;
 }
 
-// Steps priced per batched lattice call in the run-batched decode loop. Bounds the evaluation
+// Steps priced per batched lattice call in the step-indexed decode loop. Bounds the evaluation
 // wasted when an admission cuts a run short, while amortizing the call overhead for long
 // uninterrupted runs (mean output lengths are hundreds of tokens).
 constexpr int kDecodeStepChunk = 32;
@@ -133,6 +133,7 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
     return ready_times[a] < ready_times[b];
   });
 
+  // Scalar path: resident requests, each stepped and compacted in place every step.
   struct Active {
     size_t idx;
     int remaining;
@@ -140,24 +141,42 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
     double join;
   };
   std::vector<Active> active;
-  active.reserve(static_cast<size_t>(max_batch_size));
+  // Step-indexed path: resident requests in a min-heap on the global step at which they
+  // finish. A request admitted when `step` reads S has finish_step = S + output_len - 1 and
+  // context ctx_base + step with ctx_base = (input_len + 1) - S, so at its finish step its
+  // context is exactly total_len — nothing else about it needs to be stored.
+  struct Resident {
+    int64_t finish_step;
+    size_t idx;
+  };
+  std::vector<Resident> heap;
+  const auto later = [](const Resident& a, const Resident& b) {
+    return a.finish_step > b.finish_step;
+  };
+  if (batched_steps) {
+    heap.reserve(static_cast<size_t>(max_batch_size));
+  } else {
+    active.reserve(static_cast<size_t>(max_batch_size));
+  }
+  auto resident = [&] { return static_cast<int>(batched_steps ? heap.size() : active.size()); };
   const int pp = lm.par().pp;
   size_t next = 0;
   double now = 0.0;
+  int64_t step = 0;  // decode steps taken so far (step-indexed path)
   int64_t used_tokens = 0;
-  int64_t ctx_sum = 0;  // invariant: sum of ctx over `active` (exact: integer adds)
+  int64_t ctx_sum = 0;  // invariant: sum of resident contexts (exact: integer adds)
 
-  // Scratch for the run-batched path, reused across runs.
+  // Scratch for the step-indexed path, reused across runs.
   model::BatchWorkloadLattice lattice;
   std::vector<double> step_times;
 
-  while (next < order.size() || !active.empty()) {
-    if (active.empty()) {
+  while (next < order.size() || resident() > 0) {
+    if (resident() == 0) {
       now = std::max(now, ready_times[order[next]]);
     }
     // Admit ready requests while memory and the batch cap allow.
     while (next < order.size() && ready_times[order[next]] <= now &&
-           static_cast<int>(active.size()) < max_batch_size) {
+           resident() < max_batch_size) {
       const size_t idx = order[next];
       const int64_t need = trace[idx].total_len();
       if (used_tokens + need > kv_capacity_tokens) {
@@ -167,19 +186,24 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
       // TPOT is measured from first-token readiness, so admission queueing counts toward it
       // (matching RequestRecord::Tpot in the engine runtime).
       const int64_t ctx = static_cast<int64_t>(trace[idx].input_len) + 1;
-      active.push_back(Active{idx, trace[idx].output_len - 1, ctx, ready_times[idx]});
+      if (batched_steps) {
+        heap.push_back(Resident{step + trace[idx].output_len - 1, idx});
+        std::push_heap(heap.begin(), heap.end(), later);
+      } else {
+        active.push_back(Active{idx, trace[idx].output_len - 1, ctx, ready_times[idx]});
+      }
       ctx_sum += ctx;
       ++next;
     }
-    if (active.empty()) {
+    if (resident() == 0) {
       continue;  // jump to the next ready time at loop head
     }
-    const int64_t batch = static_cast<int64_t>(active.size());
+    const int64_t batch = resident();
     const int64_t lane_batch = (batch + pp - 1) / pp;
 
     if (!batched_steps) {
       // Scalar reference path: one decode step at the micro-batch lane cadence per
-      // iteration. Kept verbatim as the ground truth the run-batched path is equivalence-
+      // iteration. Kept verbatim as the ground truth the step-indexed path is equivalence-
       // tested against (tiered_search_test) and for the micro-benchmark ablation.
       const int64_t lane_ctx = ctx_sum / pp;
       now += lm.FullTime(BatchWorkload::Decode(lane_batch, std::max<int64_t>(lane_ctx, 1)));
@@ -200,21 +224,17 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
       continue;
     }
 
-    // Run-batched stepping. Between membership changes the batch is fixed and the context
+    // Step-indexed stepping. Between membership changes the batch is fixed and the context
     // sum grows by exactly `batch` per step, so the next `run` step workloads form a known
-    // lattice: price them chunk-wise through one batched call each (step-cache interop
-    // included) instead of `run` scalar calls. Equivalence with the scalar path: the step
-    // times are bit-identical (EvaluateBatch mirrors FullTime), `now` accumulates them in
-    // the same order, and the loop stops stepping exactly where the scalar loop's admission
-    // check would fire — membership can only change at a completion (bounded by the
-    // smallest remaining count) or when `now` reaches the next admissible request's ready
-    // time (nothing else in the admission condition moves during a run).
-    int run = active[0].remaining;
-    for (const Active& a : active) {
-      run = std::min(run, a.remaining);
-    }
+    // lattice: price them chunk-wise through one batched call each instead of `run` scalar
+    // calls. The run ends at the heap top's finish step (O(1), no pass over the batch) or
+    // when `now` reaches the next admissible request's ready time (nothing else in the
+    // admission condition moves during a run) — exactly where the scalar loop's membership
+    // would change. Step times are bit-identical (EvaluateBatch mirrors FullTime) and `now`
+    // accumulates them in the same order.
+    const int run = static_cast<int>(heap.front().finish_step - step);
     const bool admit_pending =
-        next < order.size() && static_cast<int>(active.size()) < max_batch_size &&
+        next < order.size() && resident() < max_batch_size &&
         used_tokens + trace[order[next]].total_len() <= kv_capacity_tokens;
     const double next_ready = admit_pending ? ready_times[order[next]] : 0.0;
     int stepped = 0;
@@ -237,24 +257,20 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
         }
       }
     }
-    // Apply the whole run at once. Completions can only happen when the run ran to its
-    // completion bound (stepped == run == min remaining); an admission cut leaves everyone
-    // with tokens to go, and the same code handles both.
-    const int64_t delta = stepped;
-    ctx_sum += delta * batch;
-    size_t write = 0;
-    for (Active& a : active) {
-      a.remaining -= stepped;
-      a.ctx += delta;
-      if (a.remaining <= 0) {
-        ctx_sum -= a.ctx;
-        tpot[a.idx] = (now - a.join) / static_cast<double>(trace[a.idx].output_len - 1);
-        used_tokens -= trace[a.idx].total_len();
-      } else {
-        active[write++] = a;
-      }
+    // Apply the run: O(1) for the survivors, O(log B) per completion. Completions happen
+    // only when the run reached the heap top's finish step; an admission cut pops nothing.
+    // The pop order among equal finish steps cannot matter: ctx_sum and used_tokens are
+    // exact integer sums and each TPOT is written by index.
+    step += stepped;
+    ctx_sum += static_cast<int64_t>(stepped) * batch;
+    while (!heap.empty() && heap.front().finish_step == step) {
+      const size_t idx = heap.front().idx;
+      std::pop_heap(heap.begin(), heap.end(), later);
+      heap.pop_back();
+      ctx_sum -= trace[idx].total_len();  // ctx_base + finish_step
+      used_tokens -= trace[idx].total_len();
+      tpot[idx] = (now - ready_times[idx]) / static_cast<double>(trace[idx].output_len - 1);
     }
-    active.resize(write);
   }
   return tpot;
 }

@@ -47,13 +47,20 @@ std::vector<double> SimulatePrefillFinishTimes(const model::LatencyModel& lm,
 // admission reserves the full final context against `kv_capacity_tokens`, and the batch steps
 // at the micro-batch lane cadence. Returns per-request TPOT (0 for single-token outputs).
 //
-// `batched_steps` selects the probe-loop implementation: true (default) prices whole
-// constant-membership runs of steps through LatencyModel::EvaluateBatch (one batched call
-// per chunk instead of one scalar call per step); false keeps the original per-step scalar
-// loop. Results are bit-identical — the batched evaluator mirrors the scalar arithmetic and
-// the run decomposition stops exactly at the scalar loop's membership changes — which
-// tiered_search_test asserts; the flag exists for that test and the micro-benchmark
-// ablation, not for behavior.
+// `batched_steps` selects the probe-loop implementation. true (default) is the step-indexed
+// kernel every planner probe runs: the instance keeps one global decode-step counter, and
+// each resident request sits in a min-heap keyed on finish_step = admit_step + output_len - 1
+// with context ctx_base + step, ctx_base = (input_len + 1) - admit_step. A run of steps with
+// constant membership ends at the heap top's finish step (O(1)) or at the next admission;
+// its steps are priced through LatencyModel::EvaluateBatch in chunks, the context sum grows
+// by batch per step, and only finishing requests are popped (O(log B) each). A probe costs
+// O(steps + N log B) bookkeeping instead of the O(steps x batch) of stepping every resident
+// request. false keeps the original per-step scalar loop. Results are bit-identical: step
+// times match (the batched evaluator mirrors the scalar arithmetic) and accumulate in the
+// same order, runs stop exactly at the scalar loop's membership changes, and the order of
+// completions within a step cannot matter because the context sum and KV usage are exact
+// integer sums and each TPOT is written by index. tiered_search_test asserts it; the flag
+// exists for that test and the micro-benchmark ablation, not for behavior.
 std::vector<double> SimulateDecodeTpots(const model::LatencyModel& lm,
                                         int64_t kv_capacity_tokens,
                                         const workload::Trace& trace,

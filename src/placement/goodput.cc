@@ -30,10 +30,10 @@ double FindMaxRate(const std::function<double(const workload::Trace&)>& attainme
       ++stats->probes;
     }
     if (options.trace_cache != nullptr) {
-      const int64_t hits_before = options.trace_cache->stats().hits;
+      bool hit = false;
       const std::shared_ptr<const workload::Trace> trace =
-          options.trace_cache->Get(spec, dataset);
-      if (stats != nullptr && options.trace_cache->stats().hits > hits_before) {
+          options.trace_cache->Get(spec, dataset, &hit);
+      if (stats != nullptr && hit) {
         ++stats->trace_cache_hits;
       }
       return attainment_at(*trace);

@@ -21,12 +21,17 @@ std::string TraceCache::MakeKey(const TraceSpec& spec, const Dataset& dataset) {
   return std::string(buf) + dataset.identity();
 }
 
-std::shared_ptr<const Trace> TraceCache::Get(const TraceSpec& spec, const Dataset& dataset) {
+std::shared_ptr<const Trace> TraceCache::Get(const TraceSpec& spec, const Dataset& dataset,
+                                             bool* hit) {
   const std::string key = MakeKey(spec, dataset);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
-    if (it != index_.end()) {
+    const bool found = it != index_.end();
+    if (hit != nullptr) {
+      *hit = found;
+    }
+    if (found) {
       ++stats_.hits;
       lru_.splice(lru_.begin(), lru_, it->second);  // move to front
       return it->second->trace;

@@ -31,8 +31,11 @@ class TraceCache {
   explicit TraceCache(int64_t max_cached_requests = 4'000'000);
 
   // Returns the trace GenerateTrace(spec, dataset) would produce, generating on miss. The
-  // returned trace is shared and immutable; it stays valid after eviction.
-  std::shared_ptr<const Trace> Get(const TraceSpec& spec, const Dataset& dataset);
+  // returned trace is shared and immutable; it stays valid after eviction. When `hit` is
+  // non-null it reports whether this call was counted in stats().hits — callers sharing the
+  // cache across threads must attribute hits through it, not by diffing the global stats.
+  std::shared_ptr<const Trace> Get(const TraceSpec& spec, const Dataset& dataset,
+                                   bool* hit = nullptr);
 
   struct Stats {
     int64_t hits = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "workload/dataset.h"
 
 namespace distserve::placement {
@@ -116,6 +119,46 @@ TEST(GoodputTest, TraceCacheDoesNotChangeResultAndHits) {
   EXPECT_DOUBLE_EQ(second, uncached);
   // The second search re-visits the exact probe lattice: every trace comes from the cache.
   EXPECT_EQ(second_stats.trace_cache_hits, second_stats.probes);
+}
+
+TEST(GoodputTest, ConcurrentSearchesAttributeOnlyTheirOwnCacheHits) {
+  // Planner threads share one trace cache. Each search must count the hits its own probes
+  // got, so the per-search counts sum to exactly the cache's global hit count however the
+  // threads interleave.
+  workload::FixedDataset dataset(100, 10);
+  workload::TraceCache cache;
+  constexpr int kThreads = 4;
+  constexpr int kSearchesPerThread = 6;
+  std::vector<GoodputSearchStats> stats(kThreads * kSearchesPerThread);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int s = 0; s < kSearchesPerThread; ++s) {
+        // Different knees share the low end of the probe lattice and part of the bisection.
+        const double knee = 4.0 + (t * kSearchesPerThread + s) % 5;
+        auto decay = [knee](const workload::Trace& trace) {
+          const double rate = workload::ComputeTraceStats(trace).observed_rate;
+          return std::max(0.0, 1.0 - rate / (2.0 * knee));
+        };
+        GoodputSearchOptions options = FastOptions();
+        options.trace_cache = &cache;
+        FindMaxRate(decay, dataset, options, &stats[t * kSearchesPerThread + s]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  int64_t attributed = 0;
+  int64_t probes = 0;
+  for (const GoodputSearchStats& s : stats) {
+    attributed += s.trace_cache_hits;
+    probes += s.probes;
+  }
+  const workload::TraceCache::Stats cache_stats = cache.stats();
+  EXPECT_GT(cache_stats.hits, 0);
+  EXPECT_EQ(attributed, cache_stats.hits);
+  EXPECT_EQ(probes, cache_stats.hits + cache_stats.misses);
 }
 
 TEST(GoodputTest, TraceSizeScalesWithRate) {

@@ -4,7 +4,7 @@
 // contract, and each gets its own tests here:
 //   1. LatencyModel::EvaluateBatch == scalar StageTime/FullTime, bit for bit, including
 //      denormal / huge / empty boundary points;
-//   2. the run-batched decode probe loop == the original per-step scalar loop;
+//   2. the step-indexed decode probe kernel == the original per-step scalar loop;
 //   3. the planner's chosen plan with use_analytic_tier on == off, across algorithms,
 //      seeds, traffic rates, and a degraded-cluster replan — while tier-on runs strictly
 //      fewer (or equal) simulations.
@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "cluster/gpu_spec.h"
@@ -191,6 +192,46 @@ TEST(DecodeBatchedStepsTest, BitIdenticalToScalarLoop) {
       SimulateDecodeTpots(lm, 4096, trace, ready, 256, /*batched_steps=*/true);
   for (size_t i = 0; i < scalar.size(); ++i) {
     EXPECT_EQ(scalar[i], batched[i]) << i;
+  }
+}
+
+// The regime the step-indexed kernel targets: thousands of requests at and above a tp1
+// OPT-13B decode instance's capacity (~7 req/s of ShareGPT-like traffic at its own KV
+// capacity), where admissions cut nearly every run after a step or two. The grid adds edge
+// lengths, tied ready times (a prefill batch finishes together) and a tiny KV pool that
+// stalls admission at completion boundaries and cannot hold the longest requests.
+TEST(DecodeBatchedStepsTest, BitIdenticalToScalarLoopUnderLoad) {
+  for (int pp : {1, 2, 4}) {
+    const model::LatencyModel lm = Lm13B(1, pp);
+    const int64_t pool_kv = lm.view().KvCapacityTokens(cluster::GpuSpec::A100_80GB());
+    for (const auto& [rate, n] : {std::pair{7.0, 2000}, std::pair{14.0, 5000}}) {
+      workload::Trace trace = VariedTrace(rate, n, 100 + pp);
+      for (size_t i = 0; i < trace.size(); i += 37) trace[i].output_len = 1;  // no decode step
+      for (size_t i = 5; i < trace.size(); i += 41) trace[i].output_len = 2;  // one step
+      for (size_t i = 11; i < trace.size(); i += 211) {
+        trace[i].input_len = static_cast<int>(pool_kv);  // fits no pool below
+      }
+      std::vector<double> ready;
+      ready.reserve(trace.size());
+      for (const auto& r : trace) ready.push_back(std::ceil(r.arrival_time / 0.05) * 0.05);
+      for (int64_t kv : {pool_kv, int64_t{3072}}) {
+        for (int max_batch : {1, 8, 512}) {
+          const std::vector<double> scalar =
+              SimulateDecodeTpots(lm, kv, trace, ready, max_batch, /*batched_steps=*/false);
+          const std::vector<double> batched =
+              SimulateDecodeTpots(lm, kv, trace, ready, max_batch, /*batched_steps=*/true);
+          ASSERT_EQ(scalar.size(), batched.size());
+          int unserveable = 0;
+          for (size_t i = 0; i < scalar.size(); ++i) {
+            EXPECT_EQ(scalar[i], batched[i]) << "pp=" << pp << " rate=" << rate
+                                             << " kv=" << kv << " max_batch=" << max_batch
+                                             << " i=" << i;
+            unserveable += std::isinf(scalar[i]) ? 1 : 0;
+          }
+          EXPECT_GE(unserveable, n / 211) << "pp=" << pp << " kv=" << kv;
+        }
+      }
+    }
   }
 }
 

@@ -27,6 +27,19 @@ TEST(TraceCacheTest, MissThenHitReturnsSameTrace) {
   EXPECT_EQ(cache.stats().entries, 1);
 }
 
+TEST(TraceCacheTest, GetReportsWhetherThisCallHit) {
+  FixedDataset dataset(100, 10);
+  TraceCache cache;
+  bool hit = true;
+  cache.Get(Spec(2.0), dataset, &hit);
+  EXPECT_FALSE(hit);
+  cache.Get(Spec(2.0), dataset, &hit);
+  EXPECT_TRUE(hit);
+  cache.Get(Spec(3.0), dataset, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.stats().hits, 1);
+}
+
 TEST(TraceCacheTest, CachedTraceBitIdenticalToFreshGeneration) {
   FixedDataset dataset(100, 10);
   TraceCache cache;
