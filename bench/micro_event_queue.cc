@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cluster/gpu_spec.h"
+#include "common/rng.h"
 #include "engine/decode_instance.h"
 #include "simcore/simulator.h"
 #include "workload/generator.h"
@@ -85,6 +86,50 @@ void BM_DecodeInstanceSteps(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64 * 31);
 }
 BENCHMARK(BM_DecodeInstanceSteps);
+
+// Trace replay's event-queue shape: 50,000 Poisson arrivals at 10 req/s, each starting a
+// 20-step self-rescheduling chain 50 ms apart (a short decode), so ~10 chains are in flight.
+// streamed:0 schedules every arrival up front, as the serving systems once did, and each
+// push and pop sifts through a 50,000-entry heap; streamed:1 uses Simulator::ScheduleStream,
+// which keeps only the next arrival queued. Both fire the same events in the same order.
+void BM_ArrivalStream(benchmark::State& state) {
+  constexpr size_t kArrivals = 50000;
+  constexpr int kChainSteps = 20;
+  constexpr double kStepSeconds = 0.05;
+  const bool streamed = state.range(0) != 0;
+  std::vector<double> times(kArrivals);
+  Rng rng(1);
+  double t = 0.0;
+  for (double& time : times) {
+    t += rng.Exponential(10.0);
+    time = t;
+  }
+  struct Chain {
+    simcore::Simulator* sim;
+    int steps_left;
+    void operator()() const {
+      if (steps_left > 0) {
+        sim->ScheduleAfter(kStepSeconds, Chain{sim, steps_left - 1});
+      }
+    }
+  };
+  for (auto _ : state) {
+    simcore::Simulator sim;
+    if (streamed) {
+      sim.ScheduleStream(
+          kArrivals, [&times](size_t k) { return times[k]; },
+          [&sim](size_t) { Chain{&sim, kChainSteps}(); });
+    } else {
+      for (const double time : times) {
+        sim.ScheduleAt(time, [&sim] { Chain{&sim, kChainSteps}(); });
+      }
+    }
+    benchmark::DoNotOptimize(sim.Run());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kArrivals) *
+                          (kChainSteps + 1));
+}
+BENCHMARK(BM_ArrivalStream)->Arg(0)->Arg(1)->ArgName("streamed")->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace distserve

@@ -64,8 +64,9 @@ class VllmSystem {
   metrics::Collector Run(const workload::Trace& trace);
 
   // --- Streaming interface (fleet runs over an external simulator; serving/fleet.h) ---
-  // Mirrors serving::ServingSystem's: Run() is exactly BeginStream + one arrival event per
-  // request + drive the simulator + FinishStream.
+  // Mirrors serving::ServingSystem's: Run() is exactly BeginStream + one arrival stream
+  // (Simulator::ScheduleStream: one Submit per request, only the next arrival queued) + drive
+  // the simulator + FinishStream.
 
   // Resets per-stream state; call before scheduling arrivals of a new stream.
   void BeginStream(size_t expected_requests);

@@ -208,15 +208,19 @@ void DecodeInstance::LaneMaybeStep(size_t lane_idx) {
   if (lane.step_in_flight) {
     return;
   }
-  // Merge joiners up to the lane cap; they start decoding this step.
+  // Merge joiners up to the lane cap, in arrival order; they start decoding this step. The
+  // merged prefix leaves `joining` in one erase, so a burst of k joiners costs O(k), not
+  // O(k * queue length).
   const int cap = per_lane_cap();
-  while (!lane.joining.empty() && static_cast<int>(lane.active.size()) < cap) {
-    RequestState* request = lane.joining.front();
-    lane.joining.erase(lane.joining.begin());
+  size_t merged = 0;
+  while (merged < lane.joining.size() && static_cast<int>(lane.active.size()) < cap) {
+    RequestState* request = lane.joining[merged++];
     request->record.decode_start = sim_->now();
     lane.active.push_back(request);
     lane.ctx_tokens += request->context_len();
   }
+  lane.joining.erase(lane.joining.begin(),
+                     lane.joining.begin() + static_cast<std::ptrdiff_t>(merged));
   if (lane.active.empty()) {
     return;
   }

@@ -166,12 +166,13 @@ FleetResult FleetSystem::Run(const workload::Trace& trace) {
   for (auto& group : groups_) {
     group->BeginStream(per_group);
   }
-  // Setup order is fixed regardless of shard count: arrivals (trace order, on the router's
-  // shard), then fault plans per group — mirroring ServingSystem::Run's arrivals-then-faults
-  // convention so equal-time tie-breaks match the standalone path.
-  for (const workload::Request& req : trace) {
-    sharded_.shard(0)->ScheduleAt(req.arrival_time, [this, req] { RouteArrival(req); });
-  }
+  // Setup order is fixed regardless of shard count: the arrival stream (on the router's
+  // shard, reserving one sequence number per request in trace order), then fault plans per
+  // group — mirroring ServingSystem::Run's arrivals-then-faults convention so equal-time
+  // tie-breaks match the standalone path.
+  sharded_.shard(0)->ScheduleStream(
+      trace.size(), [&trace](size_t k) { return trace[k].arrival_time; },
+      [this, &trace](size_t k) { RouteArrival(trace[k]); });
   for (auto& group : groups_) {
     group->ScheduleFaults();
   }

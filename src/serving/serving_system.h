@@ -105,7 +105,8 @@ class ServingSystem {
   metrics::Collector Run(const workload::Trace& trace);
 
   // --- Streaming interface (fleet runs over an external simulator; serving/fleet.h) ---
-  // The Run() above is exactly BeginStream + one arrival event per request + ScheduleFaults +
+  // The Run() above is exactly BeginStream + one arrival stream (Simulator::ScheduleStream:
+  // one Submit per request in trace order, only the next arrival queued) + ScheduleFaults +
   // drive the simulator + FinishStream(now), so the two modes share every code path.
 
   // Resets per-stream state (collector, request states, parked list) and starts a new trace

@@ -71,6 +71,21 @@ class EventQueue {
   // through ScheduleAt/Schedule/AcquireNode was three of them per event.
   EventHandle Schedule(SimTime when, EventCallback&& fn);
 
+  // Reserves `count` consecutive sequence numbers and returns the first. An event later
+  // scheduled with ScheduleReserved under number base + k orders exactly as if it had been
+  // the k-th of `count` back-to-back Schedule calls made now: before every event scheduled
+  // after the reservation at the same time. This lets a stream of known future events (trace
+  // arrivals) keep only its next member in the heap without changing any tie-break.
+  uint64_t ReserveSeqs(uint64_t count) {
+    const uint64_t base = next_seq_;
+    next_seq_ += count;
+    return base;
+  }
+
+  // Schedules `fn` at `when` under a sequence number obtained from ReserveSeqs. Each reserved
+  // number must be used at most once.
+  EventHandle ScheduleReserved(SimTime when, uint64_t seq, EventCallback&& fn);
+
   // True when no live (uncancelled) event remains.
   bool empty() const;
 

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "simcore/event_queue.h"
 #include "simcore/simulator.h"
@@ -127,6 +128,31 @@ TEST(EventQueueAllocTest, SimulatorRunLoopIsAllocationFreePerEvent) {
   sim.Run();
   EXPECT_EQ(scope.count(), 0u) << "self-rescheduling steps must be allocation-free";
   EXPECT_EQ(chained, kEvents);
+}
+
+TEST(EventQueueAllocTest, ArrivalStreamAllocatesNothingPerArrival) {
+  // A sorted 10,000-arrival stream: setup allocates the stream state and the queue's first
+  // slab node, then every arrival recycles the node its predecessor fired from.
+  constexpr size_t kArrivals = 10000;
+  std::vector<SimTime> times(kArrivals);
+  for (size_t k = 0; k < kArrivals; ++k) {
+    times[k] = 0.1 * static_cast<double>(k / 2);  // pairs of equal times
+  }
+  Simulator sim;
+  size_t fired = 0;
+  uint64_t setup_allocations = 0;
+  {
+    AllocationScope scope;
+    sim.ScheduleStream(
+        kArrivals, [&times](size_t k) { return times[k]; }, [&fired](size_t) { ++fired; });
+    setup_allocations = scope.count();
+  }
+  EXPECT_LE(setup_allocations, 3u) << "stream setup must not scale with the arrival count";
+
+  AllocationScope scope;
+  sim.Run();
+  EXPECT_EQ(scope.count(), 0u) << "firing an arrival must not allocate";
+  EXPECT_EQ(fired, kArrivals);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "simcore/simulator.h"
 #include "workload/generator.h"
 
 namespace distserve::baselines {
@@ -96,6 +99,27 @@ TEST(ColocatedGoodputTest, UnfittableConfigScoresZero) {
   inputs.dataset = dataset.get();
   inputs.slo = {4.0, 0.2};
   EXPECT_DOUBLE_EQ(SimulateColocatedGoodput(inputs, {1, 1}), 0.0);
+}
+
+TEST(VllmSystemTest, EventQueueHoldsInFlightWorkNotTheTrace) {
+  // Arrivals are streamed (Simulator::ScheduleStream): the queue holds the next arrival plus
+  // in-flight engine work, never one entry per request of the trace.
+  constexpr int kRequests = 20000;
+  constexpr size_t kBound = kRequests / 20;
+  simcore::Simulator sim;
+  VllmConfig config = BasicConfig();
+  config.sim = &sim;
+  VllmSystem system(config);
+  size_t max_pending = 0;
+  int64_t samples = 0;
+  system.set_on_request_done([&](const engine::RequestState&) {
+    max_pending = std::max(max_pending, sim.pending_events());
+    ++samples;
+  });
+  const metrics::Collector results = system.Run(MakeTrace(6.0, kRequests));
+  ASSERT_EQ(results.count(), static_cast<size_t>(kRequests));
+  EXPECT_EQ(samples, kRequests);
+  EXPECT_LT(max_pending, kBound);
 }
 
 TEST(VllmSystemDeathTest, PipelineParallelRejected) {
