@@ -11,8 +11,11 @@
 #include "model/calibration.h"
 #include "model/latency_model.h"
 #include "placement/fast_sim.h"
+#include "placement/goodput.h"
+#include "placement/search_context.h"
 #include "workload/dataset.h"
 #include "workload/generator.h"
+#include "workload/trace_cache.h"
 
 namespace distserve::model {
 namespace {
@@ -127,6 +130,51 @@ void BM_FastSimDecodeProbe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.size()));
 }
 BENCHMARK(BM_FastSimDecodeProbe)->Arg(0)->Arg(1)->ArgName("step_indexed");
+
+// One whole decode goodput search of the placement planner (DESIGN.md §15): FindMaxRate over
+// OPT-13B tp1 at bench fidelity, probe traces served from a warm trace cache. verdict:0 counts
+// SLO hits over the full SimulateDecodeTpots vector of every probe; verdict:1 is the planner's
+// own search (SimulateDecodeRate), whose probes stop at their verdict. Both return the same
+// rate after the same probes (goodput_test); here we only time them. The CI perf gate asserts
+// the verdict search beats the full count.
+void BM_DecodeRateSearch(benchmark::State& state) {
+  const auto dataset = workload::MakeShareGptLike();
+  placement::PlannerInputs inputs;
+  inputs.model = ModelSpec::Opt13B();
+  inputs.cluster = cluster::ClusterSpec::PaperTestbed();
+  inputs.dataset = dataset.get();
+  inputs.slo = {0.25, 0.1};
+  inputs.search.num_requests = 300;
+  inputs.search.min_trace_duration = 40.0;
+  inputs.search.max_requests = 4000;
+  inputs.search.bisection_iters = 7;
+  workload::TraceCache cache;
+  inputs.search.trace_cache = &cache;
+  const ParallelismConfig par{1, 1};
+  const LatencyModel lm(inputs.model, par, inputs.cluster.gpu);
+  const int64_t kv_capacity = lm.view().KvCapacityTokens(inputs.cluster.gpu);
+  auto full_count = [&](const workload::Trace& trace) {
+    std::vector<double> ready;
+    ready.reserve(trace.size());
+    for (const workload::Request& r : trace) {
+      ready.push_back(r.arrival_time);
+    }
+    const std::vector<double> tpots = placement::SimulateDecodeTpots(
+        lm, kv_capacity, trace, ready, inputs.decode_max_batch);
+    int64_t ok = 0;
+    for (const double t : tpots) {
+      ok += t <= inputs.slo.tpot ? 1 : 0;
+    }
+    return static_cast<double>(ok) / static_cast<double>(trace.size());
+  };
+  const bool verdict = state.range(0) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        verdict ? placement::detail::SimulateDecodeRate(inputs, par, inputs.search)
+                : placement::FindMaxRate(full_count, *dataset, inputs.search));
+  }
+}
+BENCHMARK(BM_DecodeRateSearch)->Arg(0)->Arg(1)->ArgName("verdict");
 
 void BM_CoefficientFit(benchmark::State& state) {
   const LatencyModel truth(ModelSpec::Opt13B(), {1, 1}, cluster::GpuSpec::A100_80GB());

@@ -252,6 +252,52 @@ void LatencyModel::EvaluateBatch(const BatchWorkloadLattice& points,
   }
 }
 
+LatencyModel::DecodeRunPricer LatencyModel::DecodeRun(int64_t batch) const {
+  // EvaluateBatch's loop body at t = batch, sq = 0, with everything but the context term
+  // evaluated here, in the same expressions.
+  const ModelSpec& spec = view_.spec();
+  const double h = spec.hidden_size;
+  const double m = spec.ffn_size;
+  const double tp = view_.par().tp;
+  const double dtype = spec.dtype_bytes;
+  const double gemm_weight = 4.0 * h * h + 2.0 * h * m;
+  const double weight_read_time = coeffs_.c4 * (gemm_weight * dtype / tp);
+  const double h3 = 3.0 * h;
+  const double h2 = 2.0 * h;
+  const double block = static_cast<double>(coeffs_.attention_block_size);
+  const double cbt = coeffs_.collective_byte_time;
+  const double clat = coeffs_.collective_latency;
+  const double c1 = coeffs_.c1;
+  const int pp = view_.par().pp;
+  const double t = static_cast<double>(batch);
+  const double sq = 0.0;
+
+  DecodeRunPricer pricer;
+  pricer.empty_ = t == 0.0;
+  pricer.c5_ = coeffs_.c5;
+  pricer.h3_ = h3;
+  pricer.dtype_ = dtype;
+  pricer.tp_ = tp;
+  const double gemm_time = std::max(c1 * (2.0 * t * gemm_weight / tp), weight_read_time);
+  const double prefill_attn_time =
+      std::max(coeffs_.c2 * (h3 * sq / block * dtype / tp), c1 * (h2 * sq / tp));
+  pricer.gemm_and_prefill_ = gemm_time + prefill_attn_time;
+  if (view_.par().tp > 1) {
+    const double bytes = t * h * dtype;
+    const double ring_factor = 2.0 * (tp - 1.0) / tp;
+    pricer.collective_ = 2.0 * (ring_factor * bytes * cbt + clat);
+  }
+  pricer.layers_ = static_cast<double>(view_.layers_per_stage());
+  pricer.c3_ = coeffs_.c3;
+  pricer.pp_d_ = static_cast<double>(pp);
+  pricer.has_send_ = pp > 1;
+  if (pp > 1) {
+    const double bytes = t * h * dtype;
+    pricer.send_ = static_cast<double>(pp - 1) * (bytes * cbt + clat);
+  }
+  return pricer;
+}
+
 double LatencyModel::PrefillFullTime(std::span<const int> input_lens) const {
   return FullTime(BatchWorkload::Prefill(input_lens));
 }

@@ -137,6 +137,38 @@ class LatencyModel {
   void EvaluateBatch(const BatchWorkloadLattice& points, std::span<double> stage_times,
                      std::span<double> full_times) const;
 
+  // Decode-run pricing: FullTime(BatchWorkload::Decode(batch, ctx)) for one fixed `batch`
+  // and contexts supplied one step at a time. Within a run of constant batch membership only
+  // the decode-attention term moves with the context, so DecodeRun() hoists every other term
+  // of the step once and FullTime(ctx) adds the one that moves. Bit-identical to FullTime()
+  // and EvaluateBatch(): the hoisted terms are EvaluateBatch's own subexpressions and the
+  // per-step sum keeps its left-to-right grouping.
+  class DecodeRunPricer {
+   public:
+    double FullTime(int64_t context_tokens) const {
+      if (empty_) {
+        return 0.0;
+      }
+      const double decode_attn_time =
+          c5_ * (h3_ * static_cast<double>(context_tokens) * dtype_ / tp_);
+      const double layer = gemm_and_prefill_ + decode_attn_time + collective_;
+      double full = pp_d_ * (layers_ * layer + c3_);
+      if (has_send_) {
+        full += send_;
+      }
+      return full;
+    }
+
+   private:
+    friend class LatencyModel;
+    bool empty_ = true;
+    bool has_send_ = false;
+    double c5_ = 0.0, h3_ = 0.0, dtype_ = 0.0, tp_ = 1.0;
+    double gemm_and_prefill_ = 0.0, collective_ = 0.0;
+    double layers_ = 0.0, c3_ = 0.0, pp_d_ = 1.0, send_ = 0.0;
+  };
+  DecodeRunPricer DecodeRun(int64_t batch) const;
+
   // Shorthands used throughout the engine.
   double PrefillFullTime(std::span<const int> input_lens) const;
   double DecodeStepFullTime(int64_t batch, int64_t context_tokens) const;

@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "common/prof.h"
+#include "placement/goodput.h"
 
 namespace distserve::placement {
 
@@ -38,17 +39,26 @@ class TraceView {
   bool identity_ = true;
 };
 
+// The kernels below either return every request's result (verdict == nullptr) or, as
+// FindMaxRate probes, record each request's TTFT/TPOT into `verdict` as it finishes, stop once
+// the verdict settles and return an empty vector. Recording past the settle point cannot
+// flip a verdict (ok or miss only grow), so the loops check it once per batch or run.
+bool Settled(const AttainmentVerdict* verdict) {
+  return verdict != nullptr && verdict->settled();
+}
+
 std::vector<double> PrefillFinishTimesView(const model::LatencyModel& lm, const TraceView& trace,
-                                           int64_t target_tokens, int max_batch_size) {
+                                           int64_t target_tokens, int max_batch_size,
+                                           AttainmentVerdict* verdict) {
   DS_PROF_ZONE("fast_sim.prefill");
-  std::vector<double> finish(trace.size(), 0.0);
+  std::vector<double> finish(verdict == nullptr ? trace.size() : 0, 0.0);
   const int pp = lm.par().pp;
   size_t i = 0;
   double stage0_free = 0.0;
   double prev_entry = 0.0;
   double prev_stage = 0.0;
   bool first_batch = true;
-  while (i < trace.size()) {
+  while (i < trace.size() && !Settled(verdict)) {
     const double launch = std::max(trace[i].arrival_time, stage0_free);
     // L_m-aware FCFS batch formation over requests already arrived at launch time. The
     // workload accumulates inline, in admission order — the same summation order
@@ -90,7 +100,11 @@ std::vector<double> PrefillFinishTimesView(const model::LatencyModel& lm, const 
     }
     const double batch_finish = entry + full_time;
     for (size_t k = i; k < j; ++k) {
-      finish[k] = batch_finish;
+      if (verdict != nullptr) {
+        verdict->Record(batch_finish - trace[k].arrival_time);
+      } else {
+        finish[k] = batch_finish;
+      }
     }
     stage0_free = entry + stage_time;
     prev_entry = entry;
@@ -101,18 +115,22 @@ std::vector<double> PrefillFinishTimesView(const model::LatencyModel& lm, const 
   return finish;
 }
 
-// Steps priced per batched lattice call in the step-indexed decode loop. Bounds the evaluation
-// wasted when an admission cuts a run short, while amortizing the call overhead for long
-// uninterrupted runs (mean output lengths are hundreds of tokens).
-constexpr int kDecodeStepChunk = 32;
-
 std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_capacity_tokens,
                                     const TraceView& trace, std::span<const double> ready_times,
-                                    int max_batch_size, bool batched_steps) {
+                                    int max_batch_size, bool batched_steps,
+                                    AttainmentVerdict* verdict) {
   DS_PROF_ZONE("fast_sim.decode");
   DS_CHECK_EQ(trace.size(), ready_times.size());
   DS_CHECK_GT(max_batch_size, 0);
-  std::vector<double> tpot(trace.size(), 0.0);
+  std::vector<double> tpot(verdict == nullptr ? trace.size() : 0, 0.0);
+  // Every request's TPOT is produced exactly once, through here.
+  auto finish = [&](size_t idx, double value) {
+    if (verdict != nullptr) {
+      verdict->Record(value);
+    } else {
+      tpot[idx] = value;
+    }
+  };
 
   // Admission order: by readiness (FCFS at the decode instance). Requests whose full context
   // can never fit this pool score an infinite TPOT — the configuration simply cannot serve
@@ -121,17 +139,21 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
   order.reserve(trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {
     if (trace[i].output_len < 2) {
+      finish(i, 0.0);
       continue;
     }
     if (trace[i].total_len() > kv_capacity_tokens) {
-      tpot[i] = std::numeric_limits<double>::infinity();
+      finish(i, std::numeric_limits<double>::infinity());
       continue;
     }
     order.push_back(i);
   }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return ready_times[a] < ready_times[b];
-  });
+  // Planner probes pass arrival-ordered traces, so the order is usually sorted already; a
+  // stable sort of a sorted range is the identity, ties included.
+  const auto earlier = [&](size_t a, size_t b) { return ready_times[a] < ready_times[b]; };
+  if (!std::is_sorted(order.begin(), order.end(), earlier)) {
+    std::stable_sort(order.begin(), order.end(), earlier);
+  }
 
   // Scalar path: resident requests, each stepped and compacted in place every step.
   struct Active {
@@ -166,11 +188,7 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
   int64_t used_tokens = 0;
   int64_t ctx_sum = 0;  // invariant: sum of resident contexts (exact: integer adds)
 
-  // Scratch for the step-indexed path, reused across runs.
-  model::BatchWorkloadLattice lattice;
-  std::vector<double> step_times;
-
-  while (next < order.size() || resident() > 0) {
+  while ((next < order.size() || resident() > 0) && !Settled(verdict)) {
     if (resident() == 0) {
       now = std::max(now, ready_times[order[next]]);
     }
@@ -214,7 +232,7 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
         ++ctx_sum;
         if (a.remaining <= 0) {
           ctx_sum -= a.ctx;
-          tpot[a.idx] = (now - a.join) / static_cast<double>(trace[a.idx].output_len - 1);
+          finish(a.idx, (now - a.join) / static_cast<double>(trace[a.idx].output_len - 1));
           used_tokens -= trace[a.idx].total_len();
         } else {
           active[write++] = a;
@@ -225,36 +243,26 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
     }
 
     // Step-indexed stepping. Between membership changes the batch is fixed and the context
-    // sum grows by exactly `batch` per step, so the next `run` step workloads form a known
-    // lattice: price them chunk-wise through one batched call each instead of `run` scalar
-    // calls. The run ends at the heap top's finish step (O(1), no pass over the batch) or
-    // when `now` reaches the next admissible request's ready time (nothing else in the
+    // sum grows by exactly `batch` per step, so one DecodeRunPricer for the run's lane batch
+    // prices each step from its lane context alone, bit-identically to FullTime, and `now`
+    // accumulates the step times in the scalar loop's order. Steps are priced only as they
+    // are taken. The run ends at the heap top's finish step (O(1), no pass over the batch)
+    // or when `now` reaches the next admissible request's ready time (nothing else in the
     // admission condition moves during a run) — exactly where the scalar loop's membership
-    // would change. Step times are bit-identical (EvaluateBatch mirrors FullTime) and `now`
-    // accumulates them in the same order.
+    // would change.
     const int run = static_cast<int>(heap.front().finish_step - step);
     const bool admit_pending =
         next < order.size() && resident() < max_batch_size &&
         used_tokens + trace[order[next]].total_len() <= kv_capacity_tokens;
     const double next_ready = admit_pending ? ready_times[order[next]] : 0.0;
+    const model::LatencyModel::DecodeRunPricer price = lm.DecodeRun(lane_batch);
     int stepped = 0;
-    bool cut = false;
-    while (stepped < run && !cut) {
-      const int chunk = std::min(run - stepped, kDecodeStepChunk);
-      lattice.Clear();
-      for (int s = 0; s < chunk; ++s) {
-        const int64_t lane_ctx = (ctx_sum + static_cast<int64_t>(stepped + s) * batch) / pp;
-        lattice.PushBack(BatchWorkload::Decode(lane_batch, std::max<int64_t>(lane_ctx, 1)));
-      }
-      step_times.resize(static_cast<size_t>(chunk));
-      lm.EvaluateBatch(lattice, {}, step_times);
-      for (int s = 0; s < chunk; ++s) {
-        now += step_times[static_cast<size_t>(s)];
-        ++stepped;
-        if (admit_pending && next_ready <= now) {
-          cut = true;  // the scalar loop would admit before the next step; back to the head
-          break;
-        }
+    while (stepped < run) {
+      const int64_t lane_ctx = (ctx_sum + static_cast<int64_t>(stepped) * batch) / pp;
+      now += price.FullTime(std::max<int64_t>(lane_ctx, 1));
+      ++stepped;
+      if (admit_pending && next_ready <= now) {
+        break;  // the scalar loop would admit before the next step; back to the head
       }
     }
     // Apply the run: O(1) for the survivors, O(log B) per completion. Completions happen
@@ -269,7 +277,7 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
       heap.pop_back();
       ctx_sum -= trace[idx].total_len();  // ctx_base + finish_step
       used_tokens -= trace[idx].total_len();
-      tpot[idx] = (now - ready_times[idx]) / static_cast<double>(trace[idx].output_len - 1);
+      finish(idx, (now - ready_times[idx]) / static_cast<double>(trace[idx].output_len - 1));
     }
   }
   return tpot;
@@ -493,7 +501,18 @@ std::vector<double> SimulatePrefillFinishTimes(const model::LatencyModel& lm,
                                                int64_t target_tokens, int max_batch_size) {
   DS_CHECK_GT(target_tokens, 0);
   DS_CHECK_GT(max_batch_size, 0);
-  return PrefillFinishTimesView(lm, TraceView(trace), target_tokens, max_batch_size);
+  return PrefillFinishTimesView(lm, TraceView(trace), target_tokens, max_batch_size,
+                                /*verdict=*/nullptr);
+}
+
+double SimulatePrefillAttainment(const model::LatencyModel& lm, const workload::Trace& trace,
+                                 int64_t target_tokens, int max_batch_size, double ttft_slo,
+                                 double target) {
+  DS_CHECK_GT(target_tokens, 0);
+  DS_CHECK_GT(max_batch_size, 0);
+  AttainmentVerdict verdict(static_cast<int64_t>(trace.size()), ttft_slo, target);
+  PrefillFinishTimesView(lm, TraceView(trace), target_tokens, max_batch_size, &verdict);
+  return verdict.attainment();
 }
 
 std::vector<double> SimulateDecodeTpots(const model::LatencyModel& lm,
@@ -502,7 +521,17 @@ std::vector<double> SimulateDecodeTpots(const model::LatencyModel& lm,
                                         const std::vector<double>& ready_times,
                                         int max_batch_size, bool batched_steps) {
   return DecodeTpotsView(lm, kv_capacity_tokens, TraceView(trace), ready_times, max_batch_size,
-                         batched_steps);
+                         batched_steps, /*verdict=*/nullptr);
+}
+
+double SimulateDecodeAttainment(const model::LatencyModel& lm, int64_t kv_capacity_tokens,
+                                const workload::Trace& trace,
+                                const std::vector<double>& ready_times, int max_batch_size,
+                                double tpot_slo, double target) {
+  AttainmentVerdict verdict(static_cast<int64_t>(trace.size()), tpot_slo, target);
+  DecodeTpotsView(lm, kv_capacity_tokens, TraceView(trace), ready_times, max_batch_size,
+                  /*batched_steps=*/true, &verdict);
+  return verdict.attainment();
 }
 
 std::vector<FastRecord> SimulateDisaggregated(const model::LatencyModel& prefill_lm,
@@ -520,7 +549,7 @@ std::vector<FastRecord> SimulateDisaggregated(const model::LatencyModel& prefill
         RoundRobinIndices(trace.size(), inst, config.num_prefill);
     const std::vector<double> finish =
         PrefillFinishTimesView(prefill_lm, TraceView(trace, idx), config.prefill_target_tokens,
-                               config.prefill_max_batch);
+                               config.prefill_max_batch, /*verdict=*/nullptr);
     for (size_t k = 0; k < idx.size(); ++k) {
       first_token[idx[k]] = finish[k];
       records[idx[k]].ttft = finish[k] - trace[idx[k]].arrival_time;
@@ -537,7 +566,8 @@ std::vector<FastRecord> SimulateDisaggregated(const model::LatencyModel& prefill
     }
     const std::vector<double> tpots =
         DecodeTpotsView(decode_lm, config.decode_kv_capacity_tokens, TraceView(trace, idx),
-                        ready, config.decode_max_batch, /*batched_steps=*/true);
+                        ready, config.decode_max_batch, /*batched_steps=*/true,
+                        /*verdict=*/nullptr);
     for (size_t k = 0; k < idx.size(); ++k) {
       records[idx[k]].tpot = tpots[k];
     }

@@ -52,20 +52,35 @@ std::vector<double> SimulatePrefillFinishTimes(const model::LatencyModel& lm,
 // each resident request sits in a min-heap keyed on finish_step = admit_step + output_len - 1
 // with context ctx_base + step, ctx_base = (input_len + 1) - admit_step. A run of steps with
 // constant membership ends at the heap top's finish step (O(1)) or at the next admission;
-// its steps are priced through LatencyModel::EvaluateBatch in chunks, the context sum grows
-// by batch per step, and only finishing requests are popped (O(log B) each). A probe costs
-// O(steps + N log B) bookkeeping instead of the O(steps x batch) of stepping every resident
-// request. false keeps the original per-step scalar loop. Results are bit-identical: step
-// times match (the batched evaluator mirrors the scalar arithmetic) and accumulate in the
-// same order, runs stop exactly at the scalar loop's membership changes, and the order of
-// completions within a step cannot matter because the context sum and KV usage are exact
-// integer sums and each TPOT is written by index. tiered_search_test asserts it; the flag
-// exists for that test and the micro-benchmark ablation, not for behavior.
+// one LatencyModel::DecodeRunPricer per run prices its steps one at a time as they are taken
+// (the lane batch is fixed, so only the decode-attention term moves with the context), the
+// context sum grows by batch per step, and only finishing requests are popped (O(log B)
+// each). A probe costs O(steps + N log B) bookkeeping instead of the O(steps x batch) of
+// stepping every resident request. false keeps the original per-step scalar loop. Results
+// are bit-identical: step times match (the pricer mirrors the scalar arithmetic) and
+// accumulate in the same order, runs stop exactly at the scalar loop's membership changes,
+// and the order of completions within a step cannot matter because the context sum and KV
+// usage are exact integer sums and each TPOT is written by index. tiered_search_test asserts
+// it; the flag exists for that test and the micro-benchmark ablation, not for behavior.
 std::vector<double> SimulateDecodeTpots(const model::LatencyModel& lm,
                                         int64_t kv_capacity_tokens,
                                         const workload::Trace& trace,
                                         const std::vector<double>& ready_times,
                                         int max_batch_size, bool batched_steps = true);
+
+// Verdict probes for FindMaxRate: the share of requests whose TTFT (prefill) or TPOT (decode)
+// is <= `slo`, from the same kernels as SimulatePrefillFinishTimes / SimulateDecodeTpots (the
+// step-indexed one), but each stops as soon as `attainment >= target` is decided and returns
+// AttainmentVerdict::attainment(): exact when the simulation ran to the end, otherwise a
+// bound on the same side of `target` (goodput.h). No per-request result vector is allocated.
+double SimulatePrefillAttainment(const model::LatencyModel& lm, const workload::Trace& trace,
+                                 int64_t target_tokens, int max_batch_size, double ttft_slo,
+                                 double target);
+
+double SimulateDecodeAttainment(const model::LatencyModel& lm, int64_t kv_capacity_tokens,
+                                const workload::Trace& trace,
+                                const std::vector<double>& ready_times, int max_batch_size,
+                                double tpot_slo, double target);
 
 struct DisaggregatedFastConfig {
   int num_prefill = 1;

@@ -18,6 +18,9 @@ double FindMaxRate(const std::function<double(const workload::Trace&)>& attainme
   DS_CHECK(attainment_at != nullptr);
   DS_CHECK_GT(options.rate_floor, 0.0);
   DS_CHECK_GT(options.rate_probe, 0.0);
+  // std::clamp below is undefined unless num_requests <= max_requests.
+  DS_CHECK_GT(options.num_requests, 0);
+  DS_CHECK_LE(options.num_requests, options.max_requests);
   auto attainment_at_rate = [&](double rate) {
     workload::TraceSpec spec;
     spec.rate = rate;
@@ -136,6 +139,36 @@ double FindMaxRate(const std::function<double(const workload::Trace&)>& attainme
     }
   }
   return lo;
+}
+
+AttainmentVerdict::AttainmentVerdict(int64_t n, double slo, double target)
+    : n_(n), slo_(slo) {
+  DS_CHECK_GE(n, 0);
+  const double nd = static_cast<double>(n);
+  auto passes = [&](int64_t k) { return static_cast<double>(k) / nd >= target; };
+  if (!passes(n)) {
+    need_ = n + 1;  // no count passes (target > 1, NaN, or n == 0): fails at once
+  } else if (passes(0)) {
+    need_ = 0;  // every count passes
+  } else {
+    // Invariant: !passes(lo) && passes(hi).
+    int64_t lo = 0;
+    int64_t hi = n;
+    while (hi - lo > 1) {
+      const int64_t mid = lo + (hi - lo) / 2;
+      (passes(mid) ? hi : lo) = mid;
+    }
+    need_ = hi;
+  }
+}
+
+double AttainmentVerdict::attainment() const {
+  DS_DCHECK(settled());
+  if (n_ == 0) {
+    return 0.0;
+  }
+  const int64_t count = ok_ >= need_ ? ok_ : n_ - miss_;
+  return static_cast<double>(count) / static_cast<double>(n_);
 }
 
 }  // namespace distserve::placement

@@ -17,6 +17,7 @@
 #ifndef DISTSERVE_PLACEMENT_GOODPUT_H_
 #define DISTSERVE_PLACEMENT_GOODPUT_H_
 
+#include <cstdint>
 #include <functional>
 
 #include "workload/generator.h"
@@ -70,11 +71,48 @@ struct GoodputSearchStats {
   int trace_cache_hits = 0;   // probes whose trace came from the cache
 };
 
-// `attainment_at(trace)` returns the joint SLO attainment for one trace. Returns the largest
-// rate (requests/second) whose attainment meets the target, or 0 when even rate_floor fails.
+// `attainment_at(trace)` returns the joint SLO attainment for one trace, or any value on the
+// same side of `options.attainment_target` as it: FindMaxRate only ever tests
+// `attainment_at(trace) >= attainment_target`, so a probe may stop as soon as its verdict is
+// decided and report a bound instead (see AttainmentVerdict). Returns the largest rate
+// (requests/second) whose attainment meets the target, or 0 when even rate_floor fails.
 double FindMaxRate(const std::function<double(const workload::Trace&)>& attainment_at,
                    const workload::Dataset& dataset, const GoodputSearchOptions& options,
                    GoodputSearchStats* stats = nullptr);
+
+// Early-exit SLO verdict for one probe of `n` requests: counts hits (value <= slo) and misses
+// as a simulator finishes requests, and settles as soon as `attainment >= target` is decided
+// whatever the remaining requests do.
+//
+// `need` is the smallest k with double(k)/double(n) >= target (n + 1 when no k <= n
+// qualifies). Division by n is monotone in k, so the verdict passes exactly when ok >= need
+// and fails exactly when ok < need, i.e. once miss > n - need. attainment() returns ok/n on a
+// pass and (n - miss)/n on a fail: both are on the same side of the target as the exact
+// attainment ok_final/n, and equal to it once every request is recorded.
+class AttainmentVerdict {
+ public:
+  AttainmentVerdict(int64_t n, double slo, double target);
+
+  // Records one finished request's metric (TTFT or TPOT); returns settled().
+  bool Record(double value) {
+    if (value <= slo_) {
+      ++ok_;
+    } else {
+      ++miss_;
+    }
+    return settled();
+  }
+  bool settled() const { return ok_ >= need_ || miss_ > n_ - need_; }
+  // The verdict's attainment bound (exact once every request is recorded); 0 for n == 0.
+  double attainment() const;
+
+ private:
+  int64_t n_;
+  double slo_;
+  int64_t need_;
+  int64_t ok_ = 0;
+  int64_t miss_ = 0;
+};
 
 }  // namespace distserve::placement
 

@@ -70,15 +70,8 @@ double SimulatePrefillRate(const PlannerInputs& inputs, const model::Parallelism
   const model::LatencyModel lm = MakeLm(inputs, par);
   const int64_t target_tokens = std::max<int64_t>(512, lm.ComputeSaturationTokens());
   auto attainment = [&](const workload::Trace& trace) {
-    const std::vector<double> finish =
-        SimulatePrefillFinishTimes(lm, trace, target_tokens, kPrefillMaxBatch);
-    int64_t ok = 0;
-    for (size_t i = 0; i < trace.size(); ++i) {
-      if (finish[i] - trace[i].arrival_time <= inputs.slo.ttft) {
-        ++ok;
-      }
-    }
-    return trace.empty() ? 0.0 : static_cast<double>(ok) / static_cast<double>(trace.size());
+    return SimulatePrefillAttainment(lm, trace, target_tokens, kPrefillMaxBatch,
+                                     inputs.slo.ttft, search.attainment_target);
   };
   return FindMaxRate(attainment, *inputs.dataset, search, stats);
 }
@@ -95,15 +88,8 @@ double SimulateDecodeRate(const PlannerInputs& inputs, const model::ParallelismC
     for (size_t i = 0; i < trace.size(); ++i) {
       ready[i] = trace[i].arrival_time;
     }
-    const std::vector<double> tpots =
-        SimulateDecodeTpots(lm, kv_capacity, trace, ready, inputs.decode_max_batch);
-    int64_t ok = 0;
-    for (double t : tpots) {
-      if (t <= inputs.slo.tpot) {
-        ++ok;
-      }
-    }
-    return trace.empty() ? 0.0 : static_cast<double>(ok) / static_cast<double>(trace.size());
+    return SimulateDecodeAttainment(lm, kv_capacity, trace, ready, inputs.decode_max_batch,
+                                    inputs.slo.tpot, search.attainment_target);
   };
   return FindMaxRate(attainment, *inputs.dataset, search, stats);
 }

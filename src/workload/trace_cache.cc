@@ -24,33 +24,55 @@ std::string TraceCache::MakeKey(const TraceSpec& spec, const Dataset& dataset) {
 std::shared_ptr<const Trace> TraceCache::Get(const TraceSpec& spec, const Dataset& dataset,
                                              bool* hit) {
   const std::string key = MakeKey(spec, dataset);
+  std::promise<std::shared_ptr<const Trace>> generated;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    const bool found = it != index_.end();
+    std::unique_lock<std::mutex> lock(mu_);
     if (hit != nullptr) {
-      *hit = found;
+      *hit = true;
     }
-    if (found) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
       ++stats_.hits;
       lru_.splice(lru_.begin(), lru_, it->second);  // move to front
       return it->second->trace;
     }
+    auto in_flight = pending_.find(key);
+    if (in_flight != pending_.end()) {
+      // Another caller is generating this trace: wait for it rather than generate a copy.
+      ++stats_.hits;
+      const std::shared_future<std::shared_ptr<const Trace>> trace = in_flight->second;
+      lock.unlock();
+      return trace.get();
+    }
+    if (hit != nullptr) {
+      *hit = false;
+    }
     ++stats_.misses;
+    pending_.emplace(key, generated.get_future().share());
   }
-  // Generate outside the lock: generation dominates, and a concurrent duplicate miss
-  // produces a bit-identical trace anyway.
-  auto trace = std::make_shared<const Trace>(GenerateTrace(spec, dataset));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    return it->second->trace;  // another thread inserted first
+  // Generate outside the lock: generation dominates, and other keys stay servable meanwhile.
+  std::shared_ptr<const Trace> trace;
+  try {
+    trace = std::make_shared<const Trace>(GenerateTrace(spec, dataset));
+  } catch (...) {
+    // Hand the failure to the waiters and let the next caller of this key retry.
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      pending_.erase(key);
+    }
+    generated.set_exception(std::current_exception());
+    throw;
   }
-  lru_.push_front(Entry{key, trace});
-  index_.emplace(key, lru_.begin());
-  stats_.cached_requests += static_cast<int64_t>(trace->size());
-  stats_.entries = static_cast<int64_t>(lru_.size());
-  EvictIfOverBudgetLocked();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pending_.erase(key);
+    lru_.push_front(Entry{key, trace});
+    index_.emplace(key, lru_.begin());
+    stats_.cached_requests += static_cast<int64_t>(trace->size());
+    stats_.entries = static_cast<int64_t>(lru_.size());
+    EvictIfOverBudgetLocked();
+  }
+  generated.set_value(trace);
   return trace;
 }
 

@@ -8,12 +8,15 @@
 // GenerateTrace would produce. Entries are LRU-evicted by a request-count budget (traces at
 // high probe rates hold up to `max_requests` entries each).
 //
-// Thread safety: all methods are safe to call concurrently; concurrent misses on the same key
-// may both generate (identical) traces, and one wins the insert.
+// Thread safety: all methods are safe to call concurrently. Misses are single-flight: the
+// first caller to miss a key generates its trace outside the lock, and concurrent callers for
+// the same key wait for that generation and count as hits. Without evictions the hit and miss
+// counts therefore depend only on the keys requested, not on thread timing.
 #ifndef DISTSERVE_WORKLOAD_TRACE_CACHE_H_
 #define DISTSERVE_WORKLOAD_TRACE_CACHE_H_
 
 #include <cstdint>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -62,6 +65,8 @@ class TraceCache {
   mutable std::mutex mu_;
   LruList lru_;  // front = most recently used
   std::unordered_map<std::string, LruList::iterator> index_;
+  // Keys being generated, each with the future its waiting callers block on.
+  std::unordered_map<std::string, std::shared_future<std::shared_ptr<const Trace>>> pending_;
   Stats stats_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <ostream>
 #include <vector>
 
@@ -181,6 +182,44 @@ TEST_F(LatencyModelTest, CoefficientsFromGpuScaleWithHardware) {
   const double pratio = slow_lm.PrefillFullTime(std::vector<int>{512}) /
                         fast_lm.PrefillFullTime(std::vector<int>{512});
   EXPECT_LT(pratio, 1.35);
+}
+
+TEST_F(LatencyModelTest, DecodeRunPricerMatchesFullTimeBitForBit) {
+  // The step-indexed decode probe prices every step through DecodeRun(batch).FullTime(ctx);
+  // it must equal FullTime(Decode(batch, ctx)) exactly, for every parallelism, batch and
+  // context, including contexts past 2^53 where the int64 -> double cast rounds.
+  std::vector<int64_t> contexts = {1, 2, 3, 7, 511, 4096, 65'537, 1'000'003, int64_t{1} << 31,
+                                   (int64_t{1} << 40) + 12'345, int64_t{1} << 53,
+                                   (int64_t{1} << 53) + 1, int64_t{1} << 60};
+  for (int64_t ctx = 5; ctx < (int64_t{1} << 50); ctx = ctx * 7 + 3) {
+    contexts.push_back(ctx);
+  }
+  LatencyCoefficients no_comm = LatencyCoefficients::FromGpu(gpu_);
+  no_comm.collective_byte_time = 0.0;
+  no_comm.collective_latency = 0.0;
+  for (const ModelSpec& spec : {ModelSpec::Opt13B(), ModelSpec::Opt66B()}) {
+    for (const LatencyCoefficients& coeffs :
+         {LatencyCoefficients::FromGpu(gpu_), LatencyCoefficients::FromGpu(GpuSpec::L4_24GB()),
+          no_comm}) {
+      for (int tp : {1, 2, 4, 8}) {
+        for (int pp : {1, 2, 4}) {
+          const LatencyModel lm(spec, {tp, pp}, coeffs);
+          EXPECT_EQ(lm.DecodeRun(0).FullTime(100), 0.0);
+          for (int64_t batch = 1; batch <= 512; ++batch) {
+            const LatencyModel::DecodeRunPricer pricer = lm.DecodeRun(batch);
+            for (const int64_t ctx : contexts) {
+              const int64_t scaled = ctx <= INT64_MAX / batch ? ctx * batch : ctx;
+              for (const int64_t c : {ctx, scaled}) {
+                ASSERT_EQ(pricer.FullTime(c), lm.FullTime(BatchWorkload::Decode(batch, c)))
+                    << spec.name << " tp=" << tp << " pp=" << pp << " batch=" << batch
+                    << " ctx=" << c;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 struct ModelCase {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <latch>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "workload/dataset.h"
 #include "workload/generator.h"
 
@@ -38,6 +44,37 @@ TEST(TraceCacheTest, GetReportsWhetherThisCallHit) {
   cache.Get(Spec(3.0), dataset, &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.stats().hits, 1);
+}
+
+TEST(TraceCacheTest, ConcurrentMissesOnOneKeyGenerateOnce) {
+  // Misses are single-flight: however the threads interleave, one generates and the rest
+  // wait for it and count as hits. The trace is large enough that the threads, released
+  // together, overlap its generation.
+  FixedDataset dataset(100, 10);
+  TraceCache cache;
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<std::shared_ptr<const Trace>> traces(kThreads);
+  std::vector<char> hits(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      bool hit = false;
+      traces[t] = cache.Get(Spec(2.0, 200'000), dataset, &hit);
+      hits[t] = hit ? 1 : 0;
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().hits, kThreads - 1);
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), kThreads - 1);
+  for (const auto& trace : traces) {
+    EXPECT_EQ(trace.get(), traces[0].get());
+  }
+  EXPECT_EQ(traces[0]->size(), 200'000u);
 }
 
 TEST(TraceCacheTest, CachedTraceBitIdenticalToFreshGeneration) {
