@@ -33,15 +33,18 @@ workload::Trace MakeTrace(double rate, int num_requests, uint64_t seed) {
   return workload::GenerateTrace(spec, *dataset);
 }
 
-// Sustained continuous-batching decode: 256 requests with ShareGPT-like lengths, admitted
-// and completing continuously. The per-step costs under test: batch formation (O(1) context
-// accounting), one step-time evaluation, one event schedule/fire, survivor compaction.
+// Sustained continuous-batching decode: 1024 requests with ShareGPT-like lengths, admitted
+// and completing continuously. The per-step costs under test: one step-time evaluation and
+// the O(1) step-indexed bookkeeping of a lane run; events come once per run (a finish or a
+// join), not once per step. Counters: decode steps, generated tokens, simulator events.
 void BM_DecodeEngineSteps(benchmark::State& state) {
   const model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 1},
                                cluster::GpuSpec::A100_80GB());
   const workload::Trace trace = MakeTrace(/*rate=*/8.0, /*num_requests=*/1024, /*seed=*/7);
   engine::DecodeInstance::Options options;
+  int64_t steps = 0;
   int64_t tokens = 0;
+  int64_t events = 0;
   for (auto _ : state) {
     simcore::Simulator sim;
     engine::DecodeInstance instance(&sim, lm, 1 << 20, options, 0);
@@ -55,19 +58,22 @@ void BM_DecodeEngineSteps(benchmark::State& state) {
       instance.Submit(states.back().get());
     }
     sim.Run();
+    steps = instance.steps_executed();
     tokens = instance.tokens_generated();
+    events = sim.events_processed();
     benchmark::DoNotOptimize(tokens);
   }
   state.SetItemsProcessed(state.iterations() * tokens);
-  state.counters["steps"] = static_cast<double>(tokens);
+  state.counters["steps"] = static_cast<double>(steps);
+  state.counters["tokens"] = static_cast<double>(tokens);
+  state.counters["events"] = static_cast<double>(events);
 }
 BENCHMARK(BM_DecodeEngineSteps);
 
 // Steady-state decode lanes at a fixed small batch: 8 identical requests join at t=0 and
-// step together for 2048 generated tokens each across pp=2 lanes. At this lane batch size
-// the per-step overheads under test (event scheduling, batch re-formation, context
-// accounting) are not drowned out by per-token bookkeeping, so this is the cleanest view of
-// the step loop itself.
+// step together for 2048 generated tokens each across pp=2 lanes. Membership never changes
+// after the first boundary, so each lane's steps fall into a few long runs: this is the
+// cleanest view of the per-step pricing and bookkeeping without per-step events.
 void BM_DecodeSteadyStateSteps(benchmark::State& state) {
   const model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 2},
                                cluster::GpuSpec::A100_80GB());
@@ -79,6 +85,7 @@ void BM_DecodeSteadyStateSteps(benchmark::State& state) {
   const workload::Trace trace = workload::GenerateTrace(spec, dataset);
   engine::DecodeInstance::Options options;
   int64_t tokens = 0;
+  int64_t events = 0;
   for (auto _ : state) {
     simcore::Simulator sim;
     engine::DecodeInstance instance(&sim, lm, 1 << 20, options, 0);
@@ -90,9 +97,11 @@ void BM_DecodeSteadyStateSteps(benchmark::State& state) {
     }
     sim.Run();
     tokens = instance.tokens_generated();
+    events = sim.events_processed();
     benchmark::DoNotOptimize(tokens);
   }
   state.SetItemsProcessed(state.iterations() * tokens);
+  state.counters["events"] = static_cast<double>(events);
 }
 BENCHMARK(BM_DecodeSteadyStateSteps);
 

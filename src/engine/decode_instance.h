@@ -10,6 +10,18 @@
 // behaviour of GPipe-style decode (per-token latency ~= full forward time; throughput ~= B per
 // stage time). Requests are assigned to the least-loaded lane on admission.
 //
+// Lanes are step-indexed and run-length (DESIGN.md §12). A batch's membership changes only
+// at step boundaries where a request finishes or a joiner merges, so a lane schedules one
+// event per *run* of steps with fixed membership, at the run's next finish boundary, instead
+// of one per step. Each lane counts its steps; a member stores the lane step it joined at, so
+// its progress is (lane step - join step) and a step end touches only the requests that
+// finish. A run's boundary times are accumulated step by step, as a schedule of one event
+// per step places them, so every timestamp is bit-identical to that schedule. An event that
+// changes a lane mid-run (a joiner below the cap, Abort, a preemption, or anything that may
+// let a pending request in) cuts the run at the next step boundary, where the change takes
+// effect. The observability accessors count the steps a run has passed, so they are exact at
+// any simulated time between events.
+//
 // Memory admission reserves the full final context (prompt + all output tokens) up front,
 // modelling vLLM's preemption-free steady state; the simulator knows output lengths, so this
 // is exact rather than optimistic. A watermark knob admits less aggressively for the
@@ -17,6 +29,7 @@
 #ifndef DISTSERVE_ENGINE_DECODE_INSTANCE_H_
 #define DISTSERVE_ENGINE_DECODE_INSTANCE_H_
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -90,35 +103,102 @@ class DecodeInstance {
   const KvBlockManager& kv() const { return kv_; }
   const model::LatencyModel& latency_model() const { return latency_model_; }
 
-  // Observability.
-  int64_t tokens_generated() const { return tokens_generated_; }
-  int64_t steps_executed() const { return steps_executed_; }
-  double busy_seconds() const { return busy_seconds_; }
+  // Observability. Exact at any simulated time between events (e.g. after Run(until)): they
+  // include the steps a run has passed since its last event, counted in step-start order.
+  int64_t tokens_generated() const { return Observed().tokens; }
+  int64_t steps_executed() const { return Observed().steps; }
+  double busy_seconds() const { return Observed().busy; }
   int64_t resident_requests() const { return resident_count_; }
   int64_t preemptions() const { return preemptions_; }
 
  private:
+  // A request decoding in a lane. Its progress is (lane step - join_step) steps on top of the
+  // request's decode_steps_done, which is brought up to date when it leaves the lane.
+  struct Member {
+    RequestState* request;
+    int64_t join_step;
+    uint64_t order;  // lane-local join order, which is the batch order
+  };
+  // Finish-heap entry, a min-heap on (step, order): the lane step at which `request` emits
+  // its last token. Equal steps pop in join order.
+  struct FinishAt {
+    int64_t step;
+    uint64_t order;
+    RequestState* request;
+  };
+  // A lane's in-flight step, which is all that orders its boundaries against other lanes'.
+  struct Cursor {
+    bool running = false;
+    int64_t step = 0;            // steps the lane has completed
+    int64_t run_first_step = 0;  // `step` when the current run started
+    int64_t run_end_step = 0;    // `step` after the boundary the run's event fires at
+    double step_end = 0.0;       // end time of the in-flight step: the lane's next boundary
+    uint64_t step_key = 0;       // orders the in-flight step's end among equal-time ones
+  };
+  struct Lane {
+    Cursor cur;
+    std::vector<Member> active;
+    std::vector<RequestState*> joining;  // admitted, waiting for the next step boundary
+    std::vector<FinishAt> finishes;      // one entry per active member
+    // Step durations of the current run, indexed by step - run_first_step.
+    std::vector<double> durations;
+    // Sum of context_len() over `active` at step `cur.step`. Each step adds the batch size;
+    // integer adds are exactly associative, so this matches the per-step rescan bit for bit.
+    int64_t ctx_tokens = 0;
+    int64_t quiet_steps = 0;  // steps since the lane's last cut: bounds the next run's length
+    uint64_t next_order = 0;
+    simcore::EventHandle event;  // the run's boundary event
+  };
+  // Instance counters as of some simulated time.
+  struct Totals {
+    int64_t steps;
+    int64_t tokens;
+    double busy;
+  };
+
   // Admission scan over pending_: highest priority first, FCFS within a class; plain front()
   // when no prioritized request was ever submitted (single-tenant fast path).
   std::deque<RequestState*>::iterator PickPending();
   // Evicts the lowest-priority joining/active resident strictly below `floor`: releases its
   // KV, emits a preempt span, and hands it to on_preempt_. Returns false when no such victim.
   bool PreemptLowestBelow(int floor);
-  struct Lane {
-    std::vector<RequestState*> active;
-    std::vector<RequestState*> joining;  // admitted, waiting for the next step boundary
-    // Invariant: sum of context_len() over `active` — maintained incrementally on
-    // admit/evict/step so forming a batch is O(1), not O(batch). Integer adds are exactly
-    // associative, so this matches the per-step rescan bit for bit.
-    int64_t ctx_tokens = 0;
-    bool step_in_flight = false;
-  };
 
   void TryAdmit();
   void OnTransferDone(RequestState* request);
   void LaneMaybeStep(size_t lane_idx);
-  void LaneStepEnd(size_t lane_idx);
+  void StartRun(size_t lane_idx);
+  void ScheduleBoundary(size_t lane_idx, double when);
+  void LaneBoundary(size_t lane_idx);
+  // Ends the lane's run at the in-flight step's boundary (no-op when that boundary already
+  // has the run's event).
+  void Cut(size_t lane_idx);
+  // Cuts the lane whose boundary comes next, so its admission pass runs as an event.
+  void CutNextBoundary();
+  // Smallest step key among the lanes whose run event fires at `t`; all keys when none does.
+  uint64_t EventKeyAt(double t) const;
+  // Removes an active member, folding its lane progress into decode_steps_done.
+  void Leave(Lane& lane, RequestState* request);
+  // Removes `request` from whichever lane holds it (joining or active), cutting an active
+  // member's run.
+  void RemoveFromLanes(RequestState* request);
+
+  // Passes, in step-start order, every run-internal boundary before (t, key): the lane steps,
+  // the counters and the trace catch up to that point. Every entry point calls it first, so
+  // the lane state it acts on is exact at that moment.
+  void Sync(double t, uint64_t key);
+  // Sync's horizon for a call from outside this instance's events: boundaries strictly
+  // before now, or up to and including now after a Run(until) window closed.
+  uint64_t ExternalKey() const;
+  // Walks the boundaries Sync passes; `cursor(i)` is lane i's cursor, advanced in place.
+  template <typename CursorAt, typename OnPass>
+  void WalkBoundaries(CursorAt cursor, double t, uint64_t key, uint64_t* keys,
+                      OnPass on_pass) const;
+  Totals Observed() const;
+  // Emits the trace of a step starting at `start` on `lane_idx` (tracing on).
+  void TraceStep(size_t lane_idx, double start, double duration);
   int per_lane_cap() const;
+  // Debug-build lane invariants (context sums, KV residency, unique membership).
+  void CheckInvariants() const;
 
   simcore::Simulator* sim_;
   model::LatencyModel latency_model_;
@@ -141,7 +221,11 @@ class DecodeInstance {
   // True once any submitted request carried priority != 0; gates the admission scan so
   // single-tenant runs keep the plain FCFS front() path.
   bool priorities_active_ = false;
+  // Step-start counter: a step's key orders its end among equal-time boundaries. A step that
+  // started earlier ends first, as under (time, seq) event order with one event per step.
+  uint64_t step_keys_ = 0;
 
+  // Counters as of the last Sync (Observed() adds the boundaries passed since).
   int64_t tokens_generated_ = 0;
   int64_t steps_executed_ = 0;
   double busy_seconds_ = 0.0;

@@ -58,8 +58,14 @@ struct RequestState {
   int preemptions = 0;
 
   // Decode progress: tokens generated by decode steps so far (the first output token comes
-  // from prefill, so a request finishes when decode_steps_done == output_len - 1).
+  // from prefill, so a request finishes when decode_steps_done == output_len - 1). A
+  // disaggregated decode lane does not advance it step by step: while the request is active
+  // in a lane it holds the count at the request's join, and the lane adds its steps since then
+  // when the request leaves (finish, abort, preemption, fault). The lane's trace derives the
+  // current count the same way.
   int decode_steps_done = 0;
+  // Index in its DecodeInstance lane's active batch while decoding there; -1 otherwise.
+  int decode_slot = -1;
 
   // Prefill progress for chunked-prefill engines (SARATHI baseline): prompt tokens already
   // processed. Monolithic prefill jumps this from 0 to input_len in one step.
