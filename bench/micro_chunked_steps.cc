@@ -60,8 +60,14 @@ engine::ColocatedInstance::Options ChunkedOptions() {
   return options;
 }
 
-int64_t RunColocated(const model::LatencyModel& lm, const workload::Trace& trace,
-                     const engine::ColocatedInstance::Options& options) {
+struct EngineRun {
+  int64_t tokens = 0;
+  int64_t steps = 0;
+  int64_t events = 0;  // simulator events, arrivals included
+};
+
+EngineRun RunColocated(const model::LatencyModel& lm, const workload::Trace& trace,
+                       const engine::ColocatedInstance::Options& options) {
   simcore::Simulator sim;
   engine::ColocatedInstance instance(&sim, lm, 1 << 20, options, 0);
   std::vector<std::unique_ptr<engine::RequestState>> states;
@@ -72,23 +78,31 @@ int64_t RunColocated(const model::LatencyModel& lm, const workload::Trace& trace
     sim.ScheduleAt(req.arrival_time, [&instance, rs] { instance.Enqueue(rs); });
   }
   sim.Run();
-  return instance.tokens_generated();
+  return EngineRun{instance.tokens_generated(), instance.steps_executed(),
+                   sim.events_processed()};
 }
 
-// The chunked engine on a plain single-tenant trace: every step splits the token budget
-// between resident decodes and prompt chunks, so this is the densest view of the chunk
-// admission + window-offset pricing loop.
+void ReportRun(benchmark::State& state, const EngineRun& run) {
+  state.SetItemsProcessed(state.iterations() * run.tokens);
+  state.counters["steps"] = static_cast<double>(run.steps);
+  state.counters["events"] = static_cast<double>(run.events);
+}
+
+// The chunked engine on a plain single-tenant trace: every step with prompt work splits the
+// token budget between resident decodes and prompt chunks, so this is the densest view of
+// the chunk admission + window-offset pricing loop; the decode-only steps between arrivals
+// and finishes run as one event per run. Counters: engine steps, simulator events.
 void BM_ChunkedEngineSteps(benchmark::State& state) {
   const model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 1},
                                cluster::GpuSpec::A100_80GB());
   const workload::Trace trace = MakeTrace(/*rate=*/8.0, /*num_requests=*/256, /*seed=*/13);
   const auto options = ChunkedOptions();
-  int64_t tokens = 0;
+  EngineRun run;
   for (auto _ : state) {
-    tokens = RunColocated(lm, trace, options);
-    benchmark::DoNotOptimize(tokens);
+    run = RunColocated(lm, trace, options);
+    benchmark::DoNotOptimize(run.tokens);
   }
-  state.SetItemsProcessed(state.iterations() * tokens);
+  ReportRun(state, run);
 }
 BENCHMARK(BM_ChunkedEngineSteps);
 
@@ -101,12 +115,12 @@ void BM_ChunkedScenarioSteps(benchmark::State& state) {
   const workload::Trace trace =
       AnnotateScenario(MakeTrace(/*rate=*/8.0, /*num_requests=*/256, /*seed=*/13), 13);
   const auto options = ChunkedOptions();
-  int64_t tokens = 0;
+  EngineRun run;
   for (auto _ : state) {
-    tokens = RunColocated(lm, trace, options);
-    benchmark::DoNotOptimize(tokens);
+    run = RunColocated(lm, trace, options);
+    benchmark::DoNotOptimize(run.tokens);
   }
-  state.SetItemsProcessed(state.iterations() * tokens);
+  ReportRun(state, run);
 }
 BENCHMARK(BM_ChunkedScenarioSteps);
 

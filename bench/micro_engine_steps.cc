@@ -136,13 +136,16 @@ void BM_PrefillEngineBatches(benchmark::State& state) {
 BENCHMARK(BM_PrefillEngineBatches);
 
 // The colocated (vLLM-style) baseline: mixed prefill+decode iterations with
-// prefill-priority scheduling.
+// prefill-priority scheduling. Decode-only steps between arrivals and finishes run as one
+// event per run. Counters: engine steps, simulator events.
 void BM_ColocatedEngineSteps(benchmark::State& state) {
   const model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 1},
                                cluster::GpuSpec::A100_80GB());
   const workload::Trace trace = MakeTrace(/*rate=*/8.0, /*num_requests=*/256, /*seed=*/13);
   engine::ColocatedInstance::Options options;
   int64_t tokens = 0;
+  int64_t steps = 0;
+  int64_t events = 0;
   for (auto _ : state) {
     simcore::Simulator sim;
     engine::ColocatedInstance instance(&sim, lm, 1 << 20, options, 0);
@@ -155,9 +158,13 @@ void BM_ColocatedEngineSteps(benchmark::State& state) {
     }
     sim.Run();
     tokens = instance.tokens_generated();
+    steps = instance.steps_executed();
+    events = sim.events_processed();
     benchmark::DoNotOptimize(tokens);
   }
   state.SetItemsProcessed(state.iterations() * tokens);
+  state.counters["steps"] = static_cast<double>(steps);
+  state.counters["events"] = static_cast<double>(events);
 }
 BENCHMARK(BM_ColocatedEngineSteps);
 

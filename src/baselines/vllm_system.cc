@@ -31,6 +31,7 @@ VllmSystem::VllmSystem(VllmConfig config) : config_(std::move(config)) {
     instances_.push_back(std::make_unique<engine::ColocatedInstance>(
         sim_, lm, kv_tokens, config_.engine_options, i));
     instances_.back()->set_on_complete([this](engine::RequestState* r) {
+      DisarmAbandonment(r);
       collector_.Record(r->record);
       ++completed_;
       if (on_request_done_) {
@@ -68,12 +69,14 @@ void VllmSystem::BeginStream(size_t expected_requests) {
   collector_.Reserve(expected_requests);
   states_.clear();
   states_.reserve(expected_requests);
+  timers_.clear();
+  free_timer_slots_.clear();
   completed_ = 0;
 }
 
 engine::RequestState* VllmSystem::Submit(const workload::Request& request) {
-  states_.push_back(std::make_unique<engine::RequestState>(request));
-  engine::RequestState* state = states_.back().get();
+  states_.push_back(std::make_unique<OwnedRequest>(request));
+  OwnedRequest* state = states_.back().get();
   // Least-loaded dispatch across replicas.
   engine::ColocatedInstance* best = instances_.front().get();
   int64_t best_load = std::numeric_limits<int64_t>::max();
@@ -88,15 +91,50 @@ engine::RequestState* VllmSystem::Submit(const workload::Request& request) {
   return state;
 }
 
-void VllmSystem::ScheduleAbandonment(engine::RequestState* request) {
+void VllmSystem::ScheduleAbandonment(OwnedRequest* request) {
   const workload::Request& req = request->request;
-  if (req.cancel_at > 0.0) {
-    sim_->ScheduleAt(std::max(req.cancel_at, sim_->now()),
-                     [this, request] { CancelRequest(request, /*timed_out=*/false); });
+  // Fire times, clamped to now; never when unset.
+  const double never = std::numeric_limits<double>::infinity();
+  const double cancel_at = req.cancel_at > 0.0 ? std::max(req.cancel_at, sim_->now()) : never;
+  const double deadline = req.deadline > 0.0 ? std::max(req.deadline, sim_->now()) : never;
+  const bool timed_out = deadline < cancel_at;  // the cancel wins a tie
+  const double when = std::min(cancel_at, deadline);
+  if (when == never) {
+    return;
   }
-  if (req.deadline > 0.0) {
-    sim_->ScheduleAt(std::max(req.deadline, sim_->now()),
-                     [this, request] { CancelRequest(request, /*timed_out=*/true); });
+  const double later = std::max(cancel_at, deadline);
+  ExtendHorizon(later == never ? when : later);
+  int32_t slot;
+  if (free_timer_slots_.empty()) {
+    slot = static_cast<int32_t>(timers_.size());
+    timers_.emplace_back();
+  } else {
+    slot = free_timer_slots_.back();
+    free_timer_slots_.pop_back();
+  }
+  request->timer_slot = slot;
+  timers_[static_cast<size_t>(slot)] =
+      sim_->ScheduleAt(when, [this, request, timed_out] {
+        DisarmAbandonment(request);
+        CancelRequest(request, timed_out);
+      });
+}
+
+void VllmSystem::DisarmAbandonment(engine::RequestState* request) {
+  OwnedRequest* owned = static_cast<OwnedRequest*>(request);  // every state here is one
+  if (owned->timer_slot < 0) {
+    return;
+  }
+  timers_[static_cast<size_t>(owned->timer_slot)].Cancel();  // no-op once it fired
+  free_timer_slots_.push_back(owned->timer_slot);
+  owned->timer_slot = -1;
+}
+
+void VllmSystem::ExtendHorizon(double t) {
+  horizon_ = std::max(horizon_, t);
+  // The pending event re-arms at the horizon when it fires, so one is enough.
+  if (horizon_ > sim_->now() && !horizon_event_.pending()) {
+    horizon_event_ = sim_->ScheduleAt(horizon_, [this] { ExtendHorizon(0.0); });
   }
 }
 

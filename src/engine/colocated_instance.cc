@@ -2,12 +2,22 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/prof.h"
 #include "trace/recorder.h"
 
 namespace distserve::engine {
+namespace {
+
+// Longest decode run scheduled right after a cut. Later runs may span as many steps as the
+// instance has taken since that cut, so the step times a cut discards never outnumber the
+// steps actually taken (plus this floor): an instance whose runs keep getting cut by
+// arrivals costs O(1) per step.
+constexpr int64_t kMinRunSteps = 32;
+
+}  // namespace
 
 ColocatedInstance::ColocatedInstance(simcore::Simulator* sim,
                                      model::LatencyModel latency_model,
@@ -34,12 +44,17 @@ void ColocatedInstance::Enqueue(RequestState* request) {
   DS_CHECK_GE(request->request.cached_prefix_len, 0);
   DS_CHECK_LT(request->request.cached_prefix_len, request->request.input_len)
       << "request " << request->request.id << ": at least one prompt token must prefill";
+  SyncExternal();
   priorities_active_ = priorities_active_ || request->request.priority != 0;
   request->prefill_instance = id_;  // owning replica, for the serving layer's Cancel routing
   request->phase = RequestPhase::kPrefillQueued;
   DS_TRACE(recorder_, Transition(request->request.id, sim_->now(),
                                  trace::SpanKind::kPrefillQueue, trace::ColocatedPid(id_), 0));
   waiting_.push_back(request);
+  if (run_.active) {
+    Cut();  // the next step forms at the in-flight step's boundary, with this request queued
+    return;
+  }
   MaybeStep();
 }
 
@@ -109,11 +124,15 @@ void ColocatedInstance::Cancel(RequestState* request) {
   DS_CHECK(request->phase == RequestPhase::kCancelled ||
            request->phase == RequestPhase::kTimedOut)
       << "Cancel without a terminal phase set for request " << request->request.id;
+  SyncExternal();
   const double now = sim_->now();
+  // Every path below changes what the next admission pass sees, so a decode run in flight
+  // is cut at the in-flight step's boundary.
   for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
     if (*it == request) {
       waiting_.erase(it);
       FinishCancel(request, now);
+      Cut();
       return;
     }
   }
@@ -123,7 +142,11 @@ void ColocatedInstance::Cancel(RequestState* request) {
     if (*it == request) {
       prefilling_.erase(it);
       FinishCancel(request, now);
-      MaybeStep();
+      if (run_.active) {
+        Cut();
+      } else {
+        MaybeStep();
+      }
       return;
     }
   }
@@ -141,6 +164,7 @@ void ColocatedInstance::Cancel(RequestState* request) {
   // Inside the executing step (a resident decode, or a prompt finishing this step): the step
   // boundary reaps it — tearing it out now would corrupt the step's incremental accounting.
   request->cancel_pending = true;
+  Cut();
 }
 
 void ColocatedInstance::AddPrefillWork(RequestState* request, int64_t chunk,
@@ -241,14 +265,6 @@ void ColocatedInstance::MaybeStep() {
   if (decodes_advance) {
     workload.decode_requests = static_cast<int64_t>(decoding_.size());
     workload.decode_context_tokens = decode_ctx_tokens_;
-    if (DS_TRACE_ON(recorder_)) {
-      const double now = sim_->now();
-      for (RequestState* r : decoding_) {
-        // Coalesced by the recorder into one contiguous decode_step run per stretch.
-        recorder_->Transition(r->request.id, now, trace::SpanKind::kDecodeStep,
-                              trace::ColocatedPid(id_), 0, r->decode_steps_done);
-      }
-    }
   }
 
   if (workload.empty()) {
@@ -256,11 +272,16 @@ void ColocatedInstance::MaybeStep() {
   }
 
   const double step_time = latency_model_.FullTime(workload) + options_.cpu_overhead_per_step;
-  DS_TRACE(recorder_, InstanceSpan(trace::ColocatedPid(id_), 0, trace::SpanKind::kEngineStep,
-                                   sim_->now(), sim_->now() + step_time, steps_executed_));
+  if (DS_TRACE_ON(recorder_)) {
+    TraceStep(sim_->now(), step_time, decodes_advance, /*progress=*/0);
+  }
   step_in_flight_ = true;
   busy_seconds_ += step_time;
   ++steps_executed_;
+  if (prefill_tokens_in_step == 0) {
+    StartRun(step_time);  // decode-only: so are the steps up to the next finish
+    return;
+  }
   sim_->ScheduleAfter(step_time,
                       [this, prefilled_now = std::move(prefilled_now),
                        decodes_advance]() mutable {
@@ -340,6 +361,124 @@ void ColocatedInstance::StepEnd(std::vector<RequestState*> prefilled_now,
   }
 
   MaybeStep();
+}
+
+void ColocatedInstance::StartRun(double step_time) {
+  // Nothing inside the run can change the next step: no finisher, and no arrival or cancel
+  // (those cut it). A blocked queue stays blocked, since KV is reserved for the full final
+  // context and only a finish frees any; the batch cap and a failed preemption scan stay as
+  // they were; the chunk budget left over by the decodes stays the same.
+  const int64_t batch = static_cast<int64_t>(decoding_.size());
+  int64_t first_finish = std::numeric_limits<int64_t>::max();
+  for (const RequestState* r : decoding_) {
+    first_finish = std::min<int64_t>(first_finish, r->remaining_decode_steps());
+  }
+  const int64_t steps = std::min(first_finish, std::max(kMinRunSteps, quiet_steps_));
+  DS_DCHECK(steps >= 1);
+  // Price the run step by step. `end` adds each step time to the previous boundary's time,
+  // the additions a schedule of one event per step makes, so every boundary is bit-identical.
+  const double now = sim_->now();
+  run_.durations.resize(static_cast<size_t>(steps));
+  run_.durations[0] = step_time;
+  double end = now + step_time;
+  if (steps > 1) {
+    const model::LatencyModel::DecodeRunPricer pricer = latency_model_.DecodeRun(batch);
+    int64_t ctx = decode_ctx_tokens_;
+    for (int64_t k = 1; k < steps; ++k) {
+      ctx += batch;
+      const double time = pricer.FullTime(ctx) + options_.cpu_overhead_per_step;
+      run_.durations[static_cast<size_t>(k)] = time;
+      end += time;
+    }
+  }
+  run_.active = true;
+  run_.steps = steps;
+  run_.passed = 0;
+  run_.step_end = now + step_time;
+  run_.event = sim_->ScheduleAt(end, [this] { RunEnd(); });
+}
+
+void ColocatedInstance::RunEnd() {
+  DS_PROF_ZONE("colocated.run_end");
+  Sync(std::numeric_limits<double>::infinity(), /*inclusive=*/true);
+  DS_DCHECK(run_.passed + 1 == run_.steps && run_.step_end == sim_->now());
+  if (run_.passed > 0) {
+    for (RequestState* r : decoding_) {
+      r->decode_steps_done += static_cast<int>(run_.passed);
+    }
+  }
+  quiet_steps_ += run_.steps;
+  run_.active = false;
+  StepEnd({}, /*decodes_advanced=*/true);
+}
+
+void ColocatedInstance::Cut() {
+  if (!run_.active || run_.passed + 1 == run_.steps) {
+    return;
+  }
+  run_.steps = run_.passed + 1;
+  quiet_steps_ = 0;
+  run_.event.Cancel();
+  run_.event = sim_->ScheduleAt(run_.step_end, [this] { RunEnd(); });
+}
+
+void ColocatedInstance::Sync(double t, bool inclusive) {
+  if (!run_.active) {
+    return;
+  }
+  const int64_t batch = static_cast<int64_t>(decoding_.size());
+  while (run_.passed + 1 < run_.steps &&
+         (run_.step_end < t || (inclusive && run_.step_end == t))) {
+    // The boundary ends a step of the batch; the next step starts there.
+    decode_ctx_tokens_ += batch;
+    tokens_generated_ += batch;
+    const double start = run_.step_end;
+    const double step_time = run_.durations[static_cast<size_t>(++run_.passed)];
+    run_.step_end = start + step_time;
+    if (DS_TRACE_ON(recorder_)) {
+      TraceStep(start, step_time, /*decodes=*/true, run_.passed);
+    }
+    busy_seconds_ += step_time;
+    ++steps_executed_;
+  }
+}
+
+void ColocatedInstance::SyncExternal() {
+  // Inside an event, boundaries at exactly now are still to come: an event scheduled before a
+  // step began is queued ahead of that step's end. After Run(until) returned, every boundary
+  // up to the horizon has fired.
+  Sync(sim_->now(), sim_->last_event_time() < sim_->now());
+}
+
+ColocatedInstance::Totals ColocatedInstance::Observed() const {
+  Totals totals{steps_executed_, tokens_generated_, busy_seconds_};
+  if (!run_.active) {
+    return totals;
+  }
+  const int64_t batch = static_cast<int64_t>(decoding_.size());
+  const double now = sim_->now();
+  double step_end = run_.step_end;
+  for (int64_t k = run_.passed + 1; k < run_.steps && step_end <= now; ++k) {
+    const double step_time = run_.durations[static_cast<size_t>(k)];
+    totals.tokens += batch;
+    totals.busy += step_time;
+    ++totals.steps;
+    step_end += step_time;
+  }
+  return totals;
+}
+
+void ColocatedInstance::TraceStep(double start, double step_time, bool decodes,
+                                  int64_t progress) {
+  if (decodes) {
+    for (const RequestState* r : decoding_) {
+      // Coalesced by the recorder into one contiguous decode_step run per stretch.
+      recorder_->Transition(r->request.id, start, trace::SpanKind::kDecodeStep,
+                            trace::ColocatedPid(id_), 0, r->decode_steps_done + progress);
+    }
+  }
+  recorder_->InstanceSpan(trace::ColocatedPid(id_), 0, trace::SpanKind::kEngineStep, start,
+                          start + step_time, steps_executed_);
 }
 
 }  // namespace distserve::engine

@@ -27,10 +27,23 @@
 //     which re-queues and re-prefills from scratch;
 //   * Cancel() tears a request down at the next step boundary, releasing its KV.
 //
+// Decode-only steps are run-length (DESIGN.md §12). When a step forms with no prefill work,
+// the next steps are decode-only too, with the same batch, until a request finishes: KV is
+// reserved for the full final context, so a blocked queue stays blocked and the batch cap
+// stays reached until a finish frees room. Such a run schedules one event, at the boundary
+// of its first finisher (or after a bounded number of steps), instead of one per step. Its
+// boundary times are accumulated step by step, as a schedule of one event per step places
+// them, so every timestamp is bit-identical to that schedule. An Enqueue or a Cancel cuts
+// the run at the in-flight step's boundary, where the next step forms as before. Progress
+// is folded into the members once per run; the boundaries inside a run are passed lazily,
+// in step order, by every entry point, so the counters and the trace are exact whenever
+// they are read.
+//
 // The paper's evaluated vLLM supports intra-op parallelism only, so pp must be 1 here.
 #ifndef DISTSERVE_ENGINE_COLOCATED_INSTANCE_H_
 #define DISTSERVE_ENGINE_COLOCATED_INSTANCE_H_
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -109,16 +122,54 @@ class ColocatedInstance {
   int id() const { return id_; }
   const KvBlockManager& kv() const { return kv_; }
 
-  // Observability.
-  int64_t steps_executed() const { return steps_executed_; }
-  int64_t tokens_generated() const { return tokens_generated_; }
-  double busy_seconds() const { return busy_seconds_; }
+  // Observability. Exact at any simulated time between events (e.g. after Run(until)): they
+  // include the steps a decode run has passed since its last event, counted in step order.
+  int64_t steps_executed() const { return Observed().steps; }
+  int64_t tokens_generated() const { return Observed().tokens; }
+  double busy_seconds() const { return Observed().busy; }
   int64_t preemptions() const { return preemptions_; }
   int64_t cancellations() const { return cancellations_; }
 
  private:
+  // A run of decode-only steps in flight. Step k of the run is priced durations[k]; the
+  // run's event fires at the end of step `steps - 1`.
+  struct DecodeRun {
+    bool active = false;
+    int64_t steps = 0;
+    int64_t passed = 0;     // boundaries passed: the index of the in-flight step
+    double step_end = 0.0;  // end time of the in-flight step
+    std::vector<double> durations;
+    simcore::EventHandle event;
+  };
+  // Instance counters as of some simulated time.
+  struct Totals {
+    int64_t steps;
+    int64_t tokens;
+    double busy;
+  };
+
   void MaybeStep();
   void StepEnd(std::vector<RequestState*> prefilled_now, bool decodes_advanced);
+  // Turns the decode-only step just formed (priced `step_time`) into a run that ends at the
+  // first finisher's boundary, or earlier at the run-length cap.
+  void StartRun(double step_time);
+  // The run's event: passes its inner boundaries, folds the run's progress into the members
+  // and ends the last step as StepEnd.
+  void RunEnd();
+  // Ends the run at the in-flight step's boundary (no-op when that boundary already has the
+  // run's event, or when no run is in flight).
+  void Cut();
+  // Passes, in step order, the run's inner boundaries before `t` (at `t` too when
+  // `inclusive`): the decode context, the counters and the trace catch up to that point.
+  void Sync(double t, bool inclusive);
+  // Sync's horizon for a call from outside this instance's events: boundaries strictly
+  // before now, or up to and including now after a Run(until) window closed.
+  void SyncExternal();
+  Totals Observed() const;
+  // Emits the trace of a step starting at `start` (tracing on): with `decodes`, a decode_step
+  // transition per member, which has `progress` steps on top of decode_steps_done; then the
+  // engine-step instance span.
+  void TraceStep(double start, double step_time, bool decodes, int64_t progress);
   // Adds one prompt's chunk (or whole remaining prompt) to `workload`; stamps prefill_start
   // on the first computed token and opens the prefill_exec span.
   void AddPrefillWork(RequestState* request, int64_t chunk, model::BatchWorkload* workload);
@@ -146,13 +197,17 @@ class ColocatedInstance {
   std::vector<RequestState*> decoding_;     // prompt done, generating tokens
   // Invariant: sum of context_len() over `decoding_`, maintained incrementally on
   // join/step/complete so batch formation is O(1) (integer adds are exactly associative, so
-  // this matches a per-step rescan bit for bit).
+  // this matches a per-step rescan bit for bit). Inside a decode run it runs ahead of the
+  // members, whose decode_steps_done lag by `run_.passed` until the run's event folds it in.
   int64_t decode_ctx_tokens_ = 0;
   bool step_in_flight_ = false;
+  DecodeRun run_;
+  int64_t quiet_steps_ = 0;  // decode-run steps since the last cut: bounds the next run
   // True once any enqueued request carried priority != 0; gates the admission scan so
   // single-tenant runs keep the plain FCFS front() path.
   bool priorities_active_ = false;
 
+  // Counters as of the last Sync (Observed() adds the run boundaries passed since).
   int64_t steps_executed_ = 0;
   int64_t tokens_generated_ = 0;
   double busy_seconds_ = 0.0;

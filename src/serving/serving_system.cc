@@ -593,8 +593,9 @@ void ServingSystem::CancelRequest(engine::RequestState* request, bool timed_out)
     }
     case engine::RequestPhase::kDecoding: {
       // Abort releases the decode-side KV and removes the request from its lane even
-      // mid-step (LaneStepEnd reads the live membership, the same safety the fault path
-      // relies on); the prefill copy was released at pull completion.
+      // mid-step: DecodeInstance::RemoveFromLanes folds the request's progress in and cuts
+      // the lane's run, so the in-flight step ends on schedule without it (the same safety
+      // the fault path relies on). The prefill copy was released at pull completion.
       ++request->attempt;
       decodes_[static_cast<size_t>(request->decode_instance)]->Abort(request);
       FinishAbandon(request, timed_out);

@@ -76,10 +76,7 @@ void EventQueue::DropDead() const {
   }
 }
 
-void EventQueue::MaybeCompact() {
-  if (dead_count_ * 2 <= heap_.size()) {
-    return;
-  }
+void EventQueue::Compact() {
   DS_PROF_COUNT("event_queue.compactions", 1);
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const Entry& e) { return !EntryLive(e); }),

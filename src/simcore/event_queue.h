@@ -146,8 +146,14 @@ class EventQueue {
   // Removes dead entries from the heap top.
   void DropDead() const;
 
-  // Rebuilds the heap without dead entries once they outnumber live ones.
-  void MaybeCompact();
+  // Rebuilds the heap without dead entries once they outnumber live ones. Every push and pop
+  // runs the test and it almost never passes, so it is inline and only the sweep is a call.
+  void MaybeCompact() {
+    if (dead_count_ * 2 > heap_.size()) {
+      Compact();
+    }
+  }
+  void Compact();
 
   mutable std::vector<Entry> heap_;
   std::vector<Node> nodes_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "simcore/simulator.h"
 #include "workload/generator.h"
@@ -120,6 +121,67 @@ TEST(VllmSystemTest, EventQueueHoldsInFlightWorkNotTheTrace) {
   ASSERT_EQ(results.count(), static_cast<size_t>(kRequests));
   EXPECT_EQ(samples, kRequests);
   EXPECT_LT(max_pending, kBound);
+}
+
+// Runs `trace` on a two-replica system over an external simulator; returns the events fired
+// and the final clock.
+std::pair<int64_t, double> RunCounted(const workload::Trace& trace, metrics::Collector* out) {
+  simcore::Simulator sim;
+  VllmConfig config = BasicConfig(1, 2);
+  config.sim = &sim;
+  VllmSystem system(config);
+  *out = system.Run(trace);
+  return {sim.events_processed(), sim.now()};
+}
+
+TEST(VllmSystemTest, AbandonmentTimersEndWithTheirRequests) {
+  // Every request completes long before its cancel or deadline could fire. A completion
+  // cancels its request's timer, so arming them costs the stream a constant number of
+  // events (the run still ends at the latest abandonment time), not one per request.
+  const workload::Trace plain = MakeTrace(2.0, 200);
+  workload::Trace timed = plain;
+  for (size_t i = 0; i < timed.size(); ++i) {
+    timed[i].deadline = timed[i].arrival_time + 1000.0;
+    if (i % 3 == 0) {
+      timed[i].cancel_at = timed[i].arrival_time + 900.0 + static_cast<double>(i % 7);
+    }
+  }
+  metrics::Collector plain_results;
+  metrics::Collector timed_results;
+  const auto [plain_events, plain_end] = RunCounted(plain, &plain_results);
+  const auto [timed_events, timed_end] = RunCounted(timed, &timed_results);
+  ASSERT_EQ(timed_results.count(), timed.size());
+  ASSERT_EQ(plain_results.records().size(), timed_results.records().size());
+  for (size_t i = 0; i < plain_results.records().size(); ++i) {
+    EXPECT_EQ(plain_results.records()[i].completion, timed_results.records()[i].completion);
+  }
+  EXPECT_LE(timed_events - plain_events, 2);
+  EXPECT_LT(plain_end, 1000.0);
+  EXPECT_EQ(timed_end, timed.back().arrival_time + 1000.0);
+}
+
+TEST(VllmSystemTest, EarlierAbandonmentWinsAndCancelWinsTies) {
+  // Three long decodes, each abandoned mid-run by the earlier of its two timers.
+  workload::Trace trace;
+  auto add = [&trace](double cancel_at, double deadline) {
+    workload::Request req;
+    req.id = static_cast<workload::RequestId>(trace.size());
+    req.input_len = 128;
+    req.output_len = 400;
+    req.cancel_at = cancel_at;
+    req.deadline = deadline;
+    trace.push_back(req);
+  };
+  add(0.5, 0.5);  // a tie: the client's cancel wins
+  add(0.6, 0.4);  // the deadline comes first
+  add(0.3, 0.7);  // the cancel comes first
+  VllmSystem system(BasicConfig());
+  const metrics::Collector results = system.Run(trace);
+  ASSERT_EQ(results.cancelled_count(), 2u);
+  ASSERT_EQ(results.timed_out_count(), 1u);
+  EXPECT_EQ(results.timed_out_records()[0].id, 1);
+  EXPECT_EQ(results.scenario_stats().requests_cancelled, 2);
+  EXPECT_EQ(results.scenario_stats().requests_timed_out, 1);
 }
 
 TEST(VllmSystemDeathTest, PipelineParallelRejected) {
