@@ -10,14 +10,12 @@
 
 namespace distserve::baselines {
 
-VllmSystem::VllmSystem(VllmConfig config) : config_(std::move(config)) {
+VllmSystem::VllmSystem(VllmConfig config)
+    : config_(std::move(config)),
+      owned_sim_(config_.sim == nullptr ? std::make_unique<simcore::Simulator>() : nullptr),
+      sim_(config_.sim != nullptr ? config_.sim : owned_sim_.get()),
+      timers_(sim_) {
   DS_CHECK_GE(config_.num_instances, 1);
-  if (config_.sim != nullptr) {
-    sim_ = config_.sim;
-  } else {
-    owned_sim_ = std::make_unique<simcore::Simulator>();
-    sim_ = owned_sim_.get();
-  }
   if (config_.engine_options.cpu_overhead_per_step == 0.0) {
     config_.engine_options.cpu_overhead_per_step = kVllmStepCpuOverhead;
   }
@@ -31,7 +29,7 @@ VllmSystem::VllmSystem(VllmConfig config) : config_(std::move(config)) {
     instances_.push_back(std::make_unique<engine::ColocatedInstance>(
         sim_, lm, kv_tokens, config_.engine_options, i));
     instances_.back()->set_on_complete([this](engine::RequestState* r) {
-      DisarmAbandonment(r);
+      timers_.Disarm(r);
       collector_.Record(r->record);
       ++completed_;
       if (on_request_done_) {
@@ -69,14 +67,13 @@ void VllmSystem::BeginStream(size_t expected_requests) {
   collector_.Reserve(expected_requests);
   states_.clear();
   states_.reserve(expected_requests);
-  timers_.clear();
-  free_timer_slots_.clear();
+  timers_.Clear();
   completed_ = 0;
 }
 
 engine::RequestState* VllmSystem::Submit(const workload::Request& request) {
-  states_.push_back(std::make_unique<OwnedRequest>(request));
-  OwnedRequest* state = states_.back().get();
+  states_.push_back(std::make_unique<engine::RequestState>(request));
+  engine::RequestState* state = states_.back().get();
   // Least-loaded dispatch across replicas.
   engine::ColocatedInstance* best = instances_.front().get();
   int64_t best_load = std::numeric_limits<int64_t>::max();
@@ -86,56 +83,11 @@ engine::RequestState* VllmSystem::Submit(const workload::Request& request) {
       best = inst.get();
     }
   }
-  ScheduleAbandonment(state);
+  timers_.Arm(state, [this](engine::RequestState* r, bool timed_out) {
+    CancelRequest(r, timed_out);
+  });
   best->Enqueue(state);
   return state;
-}
-
-void VllmSystem::ScheduleAbandonment(OwnedRequest* request) {
-  const workload::Request& req = request->request;
-  // Fire times, clamped to now; never when unset.
-  const double never = std::numeric_limits<double>::infinity();
-  const double cancel_at = req.cancel_at > 0.0 ? std::max(req.cancel_at, sim_->now()) : never;
-  const double deadline = req.deadline > 0.0 ? std::max(req.deadline, sim_->now()) : never;
-  const bool timed_out = deadline < cancel_at;  // the cancel wins a tie
-  const double when = std::min(cancel_at, deadline);
-  if (when == never) {
-    return;
-  }
-  const double later = std::max(cancel_at, deadline);
-  ExtendHorizon(later == never ? when : later);
-  int32_t slot;
-  if (free_timer_slots_.empty()) {
-    slot = static_cast<int32_t>(timers_.size());
-    timers_.emplace_back();
-  } else {
-    slot = free_timer_slots_.back();
-    free_timer_slots_.pop_back();
-  }
-  request->timer_slot = slot;
-  timers_[static_cast<size_t>(slot)] =
-      sim_->ScheduleAt(when, [this, request, timed_out] {
-        DisarmAbandonment(request);
-        CancelRequest(request, timed_out);
-      });
-}
-
-void VllmSystem::DisarmAbandonment(engine::RequestState* request) {
-  OwnedRequest* owned = static_cast<OwnedRequest*>(request);  // every state here is one
-  if (owned->timer_slot < 0) {
-    return;
-  }
-  timers_[static_cast<size_t>(owned->timer_slot)].Cancel();  // no-op once it fired
-  free_timer_slots_.push_back(owned->timer_slot);
-  owned->timer_slot = -1;
-}
-
-void VllmSystem::ExtendHorizon(double t) {
-  horizon_ = std::max(horizon_, t);
-  // The pending event re-arms at the horizon when it fires, so one is enough.
-  if (horizon_ > sim_->now() && !horizon_event_.pending()) {
-    horizon_event_ = sim_->ScheduleAt(horizon_, [this] { ExtendHorizon(0.0); });
-  }
 }
 
 void VllmSystem::CancelRequest(engine::RequestState* request, bool timed_out) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cluster/topology.h"
+#include "engine/abandonment_timers.h"
 #include "engine/colocated_instance.h"
 #include "engine/request_state.h"
 #include "metrics/collector.h"
@@ -95,39 +96,15 @@ class VllmSystem {
   int total_gpus() const { return config_.par.num_gpus() * config_.num_instances; }
 
  private:
-  // A request this system owns, with the slot of its armed abandonment timer in `timers_`
-  // (-1 when none is armed).
-  struct OwnedRequest : engine::RequestState {
-    using RequestState::RequestState;
-    int32_t timer_slot = -1;
-  };
-
-  // Scenario machinery: arms one timer per request, at the earlier of cancel_at and deadline
-  // (none when both are 0; the cancel wins a tie), and routes the teardown to the owning
-  // replica. The later of the two could only find the request terminal or already being
-  // torn down, so it is never armed.
-  void ScheduleAbandonment(OwnedRequest* request);
-  // Frees the request's timer slot, cancelling the timer if it has not fired (the request
-  // completed first).
-  void DisarmAbandonment(engine::RequestState* request);
+  // Routes a fired abandonment timer's teardown to the owning replica.
   void CancelRequest(engine::RequestState* request, bool timed_out);
-  // Keeps the clock running until `t`, the latest time a request's cancel or deadline timer
-  // would fire if none were disarmed, with one no-op event that re-arms itself at the
-  // latest such time: a run ends when it did with every timer left to fire, which the
-  // busy fractions over sim time and a fleet's common end time read.
-  void ExtendHorizon(double t);
 
   VllmConfig config_;
   std::unique_ptr<simcore::Simulator> owned_sim_;  // standalone mode only
   simcore::Simulator* sim_ = nullptr;              // owned_sim_ or config_.sim
   std::vector<std::unique_ptr<engine::ColocatedInstance>> instances_;
-  std::vector<std::unique_ptr<OwnedRequest>> states_;
-  // Armed timers by slot. A slot is reused once its timer fires or is cancelled, so the
-  // table holds the requests in flight, not the whole stream.
-  std::vector<simcore::EventHandle> timers_;
-  std::vector<int32_t> free_timer_slots_;
-  double horizon_ = 0.0;
-  simcore::EventHandle horizon_event_;
+  std::vector<std::unique_ptr<engine::RequestState>> states_;
+  engine::AbandonmentTimers timers_;
   metrics::Collector collector_;
   std::function<void(const engine::RequestState&)> on_request_done_;
   int64_t completed_ = 0;

@@ -213,24 +213,26 @@ void DecodeInstance::TryAdmit() {
                                    trace::SpanKind::kKvTransfer, trace::DecodePid(id_), 0,
                                    request->attempt));
     if (transfer_fn_) {
-      transfer_fn_(request, [this, request, epoch = epoch_] {
-        if (epoch != epoch_) {
-          return;  // the instance died while the pull was in flight
-        }
-        Sync(sim_->now(), ExternalKey());
-        OnTransferDone(request);
-        // A joiner is a new preemption victim. When it ranks below the blocked head of the
-        // queue, the admission pass at the next boundary of any lane evicts it.
-        if (priorities_active_ && !pending_.empty() &&
-            request->request.priority < (*PickPending())->request.priority) {
-          CutNextBoundary();
-        }
-        CheckInvariants();
-      });
+      transfer_fn_(request, PullDone(this, request, epoch_));
     } else {
       OnTransferDone(request);
     }
   }
+}
+
+void DecodeInstance::OnPullDone(RequestState* request, uint64_t epoch) {
+  if (epoch != epoch_) {
+    return;  // the instance died while the pull was in flight
+  }
+  Sync(sim_->now(), ExternalKey());
+  OnTransferDone(request);
+  // A joiner is a new preemption victim. When it ranks below the blocked head of the queue,
+  // the admission pass at the next boundary of any lane evicts it.
+  if (priorities_active_ && !pending_.empty() &&
+      request->request.priority < (*PickPending())->request.priority) {
+    CutNextBoundary();
+  }
+  CheckInvariants();
 }
 
 void DecodeInstance::OnTransferDone(RequestState* request) {

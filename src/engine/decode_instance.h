@@ -56,10 +56,28 @@ class DecodeInstance {
     double admission_watermark = 1.0;
   };
 
-  // Issued when the instance wants a request's KV moved here; the callback must fire when the
-  // transfer completes. The serving layer routes it over the right link. A null TransferFn
-  // (unit tests) completes transfers instantly.
-  using TransferFn = std::function<void(RequestState*, std::function<void()> done)>;
+  // Completion token of one KV pull: calling it tells the instance that the request's KV has
+  // arrived. A plain 24-byte copyable value, so the serving layer can carry it through link
+  // and watchdog events without allocating; a token issued before a Fail() does nothing.
+  class PullDone {
+   public:
+    void operator()() const { instance_->OnPullDone(request_, epoch_); }
+    RequestState* request() const { return request_; }
+
+   private:
+    friend class DecodeInstance;
+    PullDone(DecodeInstance* instance, RequestState* request, uint64_t epoch)
+        : instance_(instance), request_(request), epoch_(epoch) {}
+
+    DecodeInstance* instance_;
+    RequestState* request_;
+    uint64_t epoch_;
+  };
+
+  // Issued when the instance wants a request's KV moved here; the token must be called when
+  // the transfer completes. The serving layer routes it over the right link. A null
+  // TransferFn (unit tests) completes transfers instantly.
+  using TransferFn = std::function<void(RequestState*, PullDone done)>;
 
   DecodeInstance(simcore::Simulator* sim, model::LatencyModel latency_model,
                  int64_t kv_capacity_tokens, Options options, int id);
@@ -164,6 +182,8 @@ class DecodeInstance {
   bool PreemptLowestBelow(int floor);
 
   void TryAdmit();
+  // A pull issued under `epoch` completed (PullDone).
+  void OnPullDone(RequestState* request, uint64_t epoch);
   void OnTransferDone(RequestState* request);
   void LaneMaybeStep(size_t lane_idx);
   void StartRun(size_t lane_idx);

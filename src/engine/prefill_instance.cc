@@ -86,6 +86,15 @@ void PrefillInstance::Recover() {
   alive_ = true;
 }
 
+std::vector<RequestState*> PrefillInstance::TakeBatchVector() {
+  if (spare_batches_.empty()) {
+    return {};
+  }
+  std::vector<RequestState*> batch = std::move(spare_batches_.back());
+  spare_batches_.pop_back();
+  return batch;
+}
+
 void PrefillInstance::MaybeScheduleLaunch() {
   if (launch_scheduled_ || stalled_on_memory_ || queue_.empty()) {
     return;
@@ -123,11 +132,12 @@ void PrefillInstance::OnLaunchEvent() {
     return true;
   };
   model::BatchWorkload workload;
-  std::vector<RequestState*> batch =
-      FormPrefillBatch(queue_, options_.batch_policy, memory_fits, &workload);
+  std::vector<RequestState*> batch = TakeBatchVector();
+  FormPrefillBatch(queue_, options_.batch_policy, memory_fits, &batch, &workload);
   if (batch.empty()) {
     // Head does not fit: stall until a ReleaseKv frees space.
     stalled_on_memory_ = true;
+    spare_batches_.push_back(std::move(batch));
     return;
   }
   for (RequestState* r : batch) {
@@ -189,18 +199,20 @@ void PrefillInstance::ExecuteBatch(std::vector<RequestState*> batch, double stag
   ++batches_launched_;
 
   const double finish = entry + full_time;
-  sim_->ScheduleAt(finish, [this, epoch = epoch_, batch = std::move(batch), batch_tokens] {
-    if (epoch != epoch_) {
-      return;  // the instance died while this batch was in flight
-    }
-    inflight_tokens_ -= batch_tokens;
-    for (RequestState* r : batch) {
-      r->record.first_token = sim_->now();
-      if (on_complete_) {
-        on_complete_(r);
-      }
-    }
-  });
+  sim_->ScheduleAt(finish,
+                   [this, epoch = epoch_, batch = std::move(batch), batch_tokens]() mutable {
+                     if (epoch != epoch_) {
+                       return;  // the instance died while this batch was in flight
+                     }
+                     inflight_tokens_ -= batch_tokens;
+                     for (RequestState* r : batch) {
+                       r->record.first_token = sim_->now();
+                       if (on_complete_) {
+                         on_complete_(r);
+                       }
+                     }
+                     spare_batches_.push_back(std::move(batch));
+                   });
 
   // The next batch may enter once stage 0 frees.
   MaybeScheduleLaunch();

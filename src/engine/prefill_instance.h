@@ -92,6 +92,8 @@ class PrefillInstance {
   void MaybeScheduleLaunch();
   void OnLaunchEvent();
   void ExecuteBatch(std::vector<RequestState*> batch, double stage_time, double full_time);
+  // A cleared batch vector, reusing the capacity of one whose batch completed.
+  std::vector<RequestState*> TakeBatchVector();
 
   simcore::Simulator* sim_;
   model::LatencyModel latency_model_;
@@ -100,6 +102,9 @@ class PrefillInstance {
   int id_;
 
   std::deque<RequestState*> queue_;
+  // Vectors of completed batches; launches reuse them, so batching allocates nothing once
+  // every batch in flight has one.
+  std::vector<std::vector<RequestState*>> spare_batches_;
   int64_t queued_tokens_ = 0;
   int64_t inflight_tokens_ = 0;
   std::function<void(RequestState*)> on_complete_;

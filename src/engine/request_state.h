@@ -7,6 +7,8 @@
 #ifndef DISTSERVE_ENGINE_REQUEST_STATE_H_
 #define DISTSERVE_ENGINE_REQUEST_STATE_H_
 
+#include <cstdint>
+
 #include "metrics/collector.h"
 #include "workload/request.h"
 
@@ -56,6 +58,9 @@ struct RequestState {
   // tracking the engine position until the teardown completes.
   bool abandon_timed_out = false;
   int preemptions = 0;
+  // Slot of the request's armed abandonment timer in its system's AbandonmentTimers; -1 when
+  // none is armed.
+  int32_t abandon_timer = -1;
 
   // Decode progress: tokens generated by decode steps so far (the first output token comes
   // from prefill, so a request finishes when decode_steps_done == output_len - 1). A

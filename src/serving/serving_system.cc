@@ -22,12 +22,14 @@ model::LatencyCoefficients ResolveCoefficients(const ServingConfig& config) {
 
 }  // namespace
 
-ServingSystem::ServingSystem(ServingConfig config) : config_(std::move(config)) {
-  if (config_.sim != nullptr) {
-    sim_ = config_.sim;
-  } else {
-    owned_sim_ = std::make_unique<simcore::Simulator>();
-    sim_ = owned_sim_.get();
+ServingSystem::ServingSystem(ServingConfig config)
+    : config_(std::move(config)),
+      owned_sim_(config_.sim == nullptr ? std::make_unique<simcore::Simulator>() : nullptr),
+      sim_(config_.sim != nullptr ? config_.sim : owned_sim_.get()),
+      timers_(sim_) {
+  for (const FaultEvent& event : config_.faults.events) {
+    link_faults_planned_ = link_faults_planned_ || (event.domain == FaultDomain::kLink &&
+                                                    event.action == FaultAction::kFail);
   }
   const model::LatencyCoefficients coeffs = ResolveCoefficients(config_);
   const placement::PlacementPlan& plan = config_.plan;
@@ -74,9 +76,9 @@ ServingSystem::ServingSystem(ServingConfig config) : config_(std::move(config)) 
     engine::DecodeInstance* decode = decodes_.back().get();
     const size_t link_idx = links_.size() - 1;
     decode->set_transfer_fn(
-        [this, link_idx](engine::RequestState* r, std::function<void()> done) {
+        [this, link_idx](engine::RequestState* r, engine::DecodeInstance::PullDone done) {
           r->transfer_tries = 0;
-          StartKvPull(link_idx, r, std::move(done));
+          StartKvPull(link_idx, done);
         });
     decode->set_on_complete([this](engine::RequestState* r) { OnDecodeDone(r); });
     decode->set_on_preempt([this](engine::RequestState* r) { OnDecodePreempt(r); });
@@ -176,6 +178,7 @@ void ServingSystem::OnPrefillDone(engine::RequestState* request) {
 }
 
 void ServingSystem::OnDecodeDone(engine::RequestState* request) {
+  timers_.Disarm(request);
   request->phase = engine::RequestPhase::kDone;
   collector_.Record(request->record);
   ++completed_;
@@ -198,32 +201,20 @@ bool ServingSystem::Serviceable() const {
 
 // --- KV pull with watchdog/retry ---------------------------------------------------------
 
-void ServingSystem::StartKvPull(size_t link_idx, engine::RequestState* request,
-                                std::function<void()> done) {
+void ServingSystem::StartKvPull(size_t link_idx, engine::DecodeInstance::PullDone done) {
+  engine::RequestState* request = done.request();
   Link* link = links_[link_idx].get();
   const int attempt = request->attempt;
   const int seq = ++request->transfer_seq;
   const int64_t bytes =
       static_cast<int64_t>(request->request.input_len) * kv_bytes_per_prompt_token_;
-  auto watchdog = std::make_shared<simcore::EventHandle>();
-  // A dead link drops the pull silently (and counts it); only the watchdog notices.
-  link->Transfer(bytes, [this, request, attempt, seq, watchdog, done] {
-    if (request->attempt != attempt || request->transfer_seq != seq) {
-      return;  // re-routed or retried while the pull was in flight
-    }
-    watchdog->Cancel();
-    // Pull complete: the prefill side may now release its copy.
-    prefills_[static_cast<size_t>(request->prefill_instance)]->ReleaseKv(request);
-    done();
-  });
-  // Watchdog. On a live link it is armed past the pull's worst-case completion, so it only
-  // fires when the link dies mid-flight; on a dead link it doubles as the retry backoff.
+  // Watchdog deadline. On a live link it estimates the pull's queueing as one service time
+  // of this pull per request resident on the decode instance, plus slack that doubles per
+  // retry. The estimate ignores larger pulls queued ahead and the link latency, so a live
+  // pull can outlast it. On a dead link the deadline doubles as the retry backoff.
   double fire_at;
   if (link->alive()) {
     const double service = static_cast<double>(bytes) / link->bandwidth();
-    // The FIFO pipe serializes pulls; an upper bound on queueing is every currently-admitted
-    // resident request pulling ahead of us. Cheaper and exact enough: expected completion is
-    // busy_until + service, but busy_until is private — bound it with timeout growth instead.
     fire_at = sim_->now() + service * (1.0 + static_cast<double>(decodes_[link_idx]->load())) +
               config_.fault_options.transfer_timeout *
                   std::pow(2.0, static_cast<double>(request->transfer_tries));
@@ -231,24 +222,46 @@ void ServingSystem::StartKvPull(size_t link_idx, engine::RequestState* request,
     fire_at = sim_->now() + config_.fault_options.transfer_backoff *
                                std::pow(2.0, static_cast<double>(request->transfer_tries));
   }
-  *watchdog = sim_->ScheduleAt(
-      fire_at, [this, link_idx, request, attempt, seq, done = std::move(done)] {
-        if (request->attempt != attempt || request->transfer_seq != seq) {
-          return;
-        }
-        OnKvPullTimeout(link_idx, request, done);
-      });
+  // The watchdog can only act when the pull never completes (the plan kills a link, which
+  // drops the pull) or completes after fire_at (an exact tie goes to the pull, scheduled
+  // first). Otherwise the pull's completion cancels it or finds it stale, so arm none.
+  const bool armed = link_faults_planned_ || link->CompletionTime(bytes) > fire_at;
+  const int32_t watchdog = armed ? watchdogs_.Acquire() : -1;
+  // A dead link drops the pull silently (and counts it); only the watchdog notices.
+  link->Transfer(bytes, [this, attempt, seq, watchdog, done] {
+    engine::RequestState* r = done.request();
+    if (r->attempt != attempt || r->transfer_seq != seq) {
+      return;  // re-routed or retried while the pull was in flight
+    }
+    if (watchdog >= 0) {
+      watchdogs_.Release(watchdog);
+    }
+    // Pull complete: the prefill side may now release its copy.
+    prefills_[static_cast<size_t>(r->prefill_instance)]->ReleaseKv(r);
+    done();
+  });
+  if (armed) {
+    watchdogs_.Set(watchdog, sim_->ScheduleAt(fire_at, [this, link_idx, attempt, seq, watchdog,
+                                                        done] {
+      watchdogs_.Release(watchdog);
+      engine::RequestState* r = done.request();
+      if (r->attempt != attempt || r->transfer_seq != seq) {
+        return;
+      }
+      OnKvPullTimeout(link_idx, done);
+    }));
+  }
 }
 
-void ServingSystem::OnKvPullTimeout(size_t link_idx, engine::RequestState* request,
-                                    std::function<void()> done) {
+void ServingSystem::OnKvPullTimeout(size_t link_idx, engine::DecodeInstance::PullDone done) {
+  engine::RequestState* request = done.request();
   ++fault_stats().transfer_retries;
   ++request->transfer_tries;
   if (request->transfer_tries <= config_.fault_options.max_transfer_retries) {
     DS_TRACE(config_.recorder,
              Transition(request->request.id, sim_->now(), trace::SpanKind::kLinkRetry,
                         trace::kControllerPid, 0, request->transfer_tries));
-    StartKvPull(link_idx, request, std::move(done));
+    StartKvPull(link_idx, done);
     return;
   }
   // Retries exhausted: route around the dead link to a decode instance with a live one.
@@ -326,8 +339,9 @@ void ServingSystem::ApplyFault(const FaultEvent& event) {
         if (links_[index]->alive()) {
           ++fault_stats().link_failures;
           link_down_since_[index] = now;
-          // No scan needed: in-flight pulls are squashed by the link's epoch and every pull
-          // carries a watchdog that retries or routes around.
+          // No scan needed: in-flight pulls are squashed by the link's epoch, and a plan
+          // that can kill a link arms a watchdog on every pull, which retries or routes
+          // around.
           links_[index]->Fail();
         }
       } else if (!links_[index]->alive()) {
@@ -496,6 +510,7 @@ void ServingSystem::FailFast(engine::RequestState* request) {
       request->prefill_instance >= 0) {
     prefills_[static_cast<size_t>(request->prefill_instance)]->ReleaseKv(request);
   }
+  timers_.Disarm(request);
   request->phase = engine::RequestPhase::kLost;
   DS_TRACE(config_.recorder, Drop(request->request.id, sim_->now()));
   collector_.RecordLost(request->record);
@@ -506,19 +521,8 @@ void ServingSystem::FailFast(engine::RequestState* request) {
 
 // --- Scenario machinery (client abandonment + multi-tenant preemption) -------------------
 
-void ServingSystem::ScheduleAbandonment(engine::RequestState* request) {
-  const workload::Request& req = request->request;
-  if (req.cancel_at > 0.0) {
-    sim_->ScheduleAt(std::max(req.cancel_at, sim_->now()),
-                     [this, request] { CancelRequest(request, /*timed_out=*/false); });
-  }
-  if (req.deadline > 0.0) {
-    sim_->ScheduleAt(std::max(req.deadline, sim_->now()),
-                     [this, request] { CancelRequest(request, /*timed_out=*/true); });
-  }
-}
-
 void ServingSystem::FinishAbandon(engine::RequestState* request, bool timed_out) {
+  timers_.Disarm(request);
   request->phase =
       timed_out ? engine::RequestPhase::kTimedOut : engine::RequestPhase::kCancelled;
   DS_TRACE(config_.recorder,
@@ -627,6 +631,8 @@ void ServingSystem::BeginStream(size_t expected_requests) {
   collector_.Reserve(expected_requests);
   states_.clear();
   states_.reserve(expected_requests);
+  timers_.Clear();
+  watchdogs_.Clear();
   parked_.clear();
   completed_ = 0;
 }
@@ -634,7 +640,9 @@ void ServingSystem::BeginStream(size_t expected_requests) {
 engine::RequestState* ServingSystem::Submit(const workload::Request& request) {
   states_.push_back(std::make_unique<engine::RequestState>(request));
   engine::RequestState* state = states_.back().get();
-  ScheduleAbandonment(state);
+  timers_.Arm(state, [this](engine::RequestState* r, bool timed_out) {
+    CancelRequest(r, timed_out);
+  });
   DispatchArrival(state);
   return state;
 }

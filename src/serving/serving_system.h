@@ -12,9 +12,10 @@
 // healthy instance, requests whose computed KV was lost (on the dead prefill before the pull,
 // or on the dead decode after it) are re-prefilled (the paper's KV-loss cost), and requests
 // whose prefill KV copy survived are merely re-dispatched. Dead transfer links drop bytes
-// silently; every pull is paired with a watchdog timeout and retried with exponential backoff,
-// re-routing to another decode instance on exhaustion and failing fast only when no healthy
-// route exists. Requests with no live target are parked and re-routed on recovery.
+// silently; a pull that may never complete on time is paired with a watchdog timeout and
+// retried with exponential backoff, re-routing to another decode instance on exhaustion and
+// failing fast only when no healthy route exists (DESIGN.md §11 says when a pull gets a
+// watchdog). Requests with no live target are parked and re-routed on recovery.
 //
 // This engine-level runtime is the "real system" of our Table-2 reproduction; the fast
 // placement simulator (src/placement/simulate.h) is a coarser, independent implementation.
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "cluster/topology.h"
+#include "engine/abandonment_timers.h"
 #include "engine/decode_instance.h"
 #include "engine/prefill_instance.h"
 #include "engine/request_state.h"
@@ -35,6 +37,7 @@
 #include "placement/placement.h"
 #include "serving/fault_plan.h"
 #include "serving/transfer.h"
+#include "simcore/event_slots.h"
 #include "simcore/simulator.h"
 #include "workload/request.h"
 
@@ -164,8 +167,6 @@ class ServingSystem {
   void OnDecodeDone(engine::RequestState* request);
 
   // Scenario machinery (client abandonment + multi-tenant preemption).
-  // Schedules the request's cancel_at / deadline events (no-ops when both are 0).
-  void ScheduleAbandonment(engine::RequestState* request);
   // Tears the request down per its phase. Immediate except for an executing prefill batch,
   // where teardown is deferred (cancel_pending) to the batch boundary.
   void CancelRequest(engine::RequestState* request, bool timed_out);
@@ -180,9 +181,10 @@ class ServingSystem {
   void ApplyFault(const FaultEvent& event);
   void OnPrefillFailure(int index);
   void OnDecodeFailure(int index);
-  void StartKvPull(size_t link_idx, engine::RequestState* request, std::function<void()> done);
-  void OnKvPullTimeout(size_t link_idx, engine::RequestState* request,
-                       std::function<void()> done);
+  // Issues one pull of `done.request()`'s KV over link `link_idx`, with a watchdog where one
+  // can fire. `done` completes the pull on the decode side.
+  void StartKvPull(size_t link_idx, engine::DecodeInstance::PullDone done);
+  void OnKvPullTimeout(size_t link_idx, engine::DecodeInstance::PullDone done);
   // Re-routes one stranded request per its phase (kPending -> prefill, kDecodePending ->
   // decode), after the detection delay. Parks it when no live target exists.
   void ScheduleReroute(engine::RequestState* request);
@@ -195,6 +197,12 @@ class ServingSystem {
   ServingConfig config_;
   std::unique_ptr<simcore::Simulator> owned_sim_;  // standalone mode only
   simcore::Simulator* sim_ = nullptr;              // owned_sim_ or config_.sim
+  engine::AbandonmentTimers timers_;
+  // Armed pull watchdogs; a pull's completion event carries its slot, to cancel it.
+  simcore::EventSlots watchdogs_;
+  // Whether the fault plan can kill a link. Only then may a pull complete later than its
+  // expected time or never; otherwise its completion time is known when it is issued.
+  bool link_faults_planned_ = false;
   std::vector<std::unique_ptr<engine::PrefillInstance>> prefills_;
   std::vector<std::unique_ptr<engine::DecodeInstance>> decodes_;
   std::vector<std::unique_ptr<Link>> links_;  // one ingress link per decode instance

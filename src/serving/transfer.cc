@@ -1,6 +1,7 @@
 #include "serving/transfer.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 #include "trace/recorder.h"
@@ -14,11 +15,19 @@ Link::Link(simcore::Simulator* sim, double bandwidth, double latency, std::strin
   DS_CHECK_GE(latency, 0.0);
 }
 
-void Link::Transfer(int64_t bytes, std::function<void()> done) {
+double Link::CompletionTime(int64_t bytes) const {
+  if (!alive_) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return std::max(sim_->now(), busy_until_) + static_cast<double>(bytes) / bandwidth_ +
+         latency_;
+}
+
+double Link::Enqueue(int64_t bytes) {
   DS_CHECK_GE(bytes, 0);
   if (!alive_) {
     ++transfers_dropped_;
-    return;  // bytes vanish; the caller's watchdog fires eventually
+    return std::numeric_limits<double>::infinity();  // bytes vanish
   }
   const double service = static_cast<double>(bytes) / bandwidth_;
   const double start = std::max(sim_->now(), busy_until_);
@@ -29,13 +38,7 @@ void Link::Transfer(int64_t bytes, std::function<void()> done) {
   busy_seconds_ += service;
   bytes_transferred_ += bytes;
   ++transfers_;
-  sim_->ScheduleAt(busy_until_ + latency_,
-                   [this, epoch = epoch_, done = std::move(done)] {
-                     if (epoch != epoch_) {
-                       return;  // the link died while this transfer was in flight
-                     }
-                     done();
-                   });
+  return busy_until_ + latency_;
 }
 
 void Link::Fail() {

@@ -10,7 +10,6 @@
 #define DISTSERVE_SERVING_TRANSFER_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "simcore/simulator.h"
@@ -36,15 +35,21 @@ class Link {
     trace_pid_ = pid;
   }
 
-  // Enqueues a transfer; `done` fires at completion time. Issuing on a dead link drops the
-  // transfer silently (the bytes vanish; callers detect via their own watchdog timeout), as
-  // does a Fail() while the transfer is in flight.
-  void Transfer(int64_t bytes, std::function<void()> done);
+  // Time at which a transfer of `bytes` enqueued now would complete; +infinity on a dead link.
+  double CompletionTime(int64_t bytes) const;
+
+  // Enqueues a transfer; `done`, a copyable void() callable, fires at CompletionTime(bytes).
+  // Issuing on a dead link drops the transfer silently (the bytes vanish), as does a Fail()
+  // while the transfer is in flight; callers that must notice arm their own watchdog. A
+  // callback of up to 48 bytes is stored inline in the completion event, so the enqueue
+  // allocates nothing.
+  template <typename Done>
+  void Transfer(int64_t bytes, Done done);
 
   // Fault injection (serving::FaultPlan): a dead link moves no bytes and never completes a
-  // transfer. Fail() aborts in-flight transfers without notification — modelling a dark NIC,
-  // not a polite connection reset — so the serving layer pairs every pull with a timeout.
-  // Idempotent; Recover() resets the pipe to empty.
+  // transfer. Fail() aborts in-flight transfers without notification, modelling a dark NIC
+  // rather than a polite connection reset, so a caller that can see a link die arms a watchdog
+  // on its pulls. Idempotent; Recover() resets the pipe to empty.
   void Fail();
   void Recover();
   bool alive() const { return alive_; }
@@ -62,6 +67,10 @@ class Link {
   double latency_;
   std::string name_;
 
+  // Books a transfer of `bytes` into the pipe (counters, trace) and returns its completion
+  // time; on a dead link counts the drop and returns +infinity.
+  double Enqueue(int64_t bytes);
+
   trace::Recorder* recorder_ = nullptr;
   int32_t trace_pid_ = 0;
 
@@ -74,6 +83,19 @@ class Link {
   int64_t transfers_dropped_ = 0;
   double busy_seconds_ = 0.0;
 };
+
+template <typename Done>
+void Link::Transfer(int64_t bytes, Done done) {
+  const double end = Enqueue(bytes);
+  if (!alive_) {
+    return;
+  }
+  sim_->ScheduleAt(end, [this, epoch = epoch_, done = std::move(done)]() mutable {
+    if (epoch == epoch_) {  // otherwise the link died while this transfer was in flight
+      done();
+    }
+  });
+}
 
 }  // namespace distserve::serving
 

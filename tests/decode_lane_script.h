@@ -173,7 +173,7 @@ Outcome RunScript(const Script& script, trace::Recorder* recorder = nullptr) {
     resubmit_later(static_cast<int>(r->request.id));
   });
   if (script.delayed_transfer) {
-    instance.set_transfer_fn([&sim](RequestState* r, std::function<void()> done) {
+    instance.set_transfer_fn([&sim](RequestState* r, auto done) {
       const int attempt = r->attempt;
       const double delay = 1e-3 * static_cast<double>(1 + r->request.input_len % 37);
       sim.ScheduleAfter(delay, [r, attempt, done = std::move(done)] {

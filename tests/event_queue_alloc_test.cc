@@ -2,49 +2,20 @@
 // cycle performs ZERO heap allocations. Node slabs and the heap vector are reused through
 // the free list, and callbacks small enough for InlineFunction's inline storage never box.
 //
-// The proof is a counting global operator new/delete compiled into this test binary only.
-// Counting is toggled around the measured loop so gtest's own bookkeeping stays invisible.
+// The proof is a counting global operator new/delete (allocation_counter.h) compiled into
+// this test binary only.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "allocation_counter.h"
 #include "simcore/event_queue.h"
 #include "simcore/simulator.h"
 
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<uint64_t> g_allocations{0};
-
-struct AllocationScope {
-  AllocationScope() {
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-  }
-  ~AllocationScope() { g_counting.store(false, std::memory_order_relaxed); }
-  uint64_t count() const { return g_allocations.load(std::memory_order_relaxed); }
-};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-
 namespace distserve::simcore {
 namespace {
+
+using alloc_counter::AllocationScope;
 
 TEST(EventQueueAllocTest, SteadyStateScheduleFireAllocatesNothing) {
   EventQueue queue;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace distserve::engine {
@@ -117,6 +121,82 @@ TEST(KvBlockManagerPropertyTest, RandomOpsPreserveInvariants) {
   }
   EXPECT_EQ(kv.used_blocks(), 0);
   EXPECT_EQ(kv.sequence_count(), 0u);
+}
+
+// Random reserve / grow / release / Clear against a std::unordered_map model of the holdings.
+// Ids come from a fixed universe, so released ids are reserved again, lookups probe for
+// absent ids, and runs of colliding ids form. `colliding` ids share the top four bits of their
+// Fibonacci hash, so they cluster at the end of a small table: probe runs and backward-shift
+// deletes wrap around it. (Any hash keeps the test valid; this one makes the wrap certain.)
+void CheckAgainstReference(const std::vector<SeqId>& universe, uint64_t seed) {
+  struct Held {
+    int64_t tokens;
+    int64_t blocks;
+  };
+  distserve::Rng rng(seed);
+  KvBlockManager kv(16 * 400, 16);
+  std::unordered_map<SeqId, Held> ref;
+  int64_t ref_used = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const SeqId seq = universe[static_cast<size_t>(rng.UniformInt(0, universe.size() - 1))];
+    const double op = rng.NextDouble();
+    const auto it = ref.find(seq);
+    if (op < 0.001) {
+      kv.Clear();
+      ref.clear();
+      ref_used = 0;
+    } else if (it == ref.end()) {
+      const int64_t tokens = rng.UniformInt(0, 300);
+      const int64_t blocks = kv.BlocksForTokens(tokens);
+      const bool fits = blocks <= kv.total_blocks() - ref_used;
+      ASSERT_EQ(kv.Reserve(seq, tokens), fits);
+      if (fits) {
+        ref[seq] = Held{tokens, blocks};
+        ref_used += blocks;
+      }
+    } else if (op < 0.4) {
+      const int64_t extra = rng.UniformInt(0, 40);
+      const int64_t blocks = kv.BlocksForTokens(it->second.tokens + extra);
+      const bool fits = blocks - it->second.blocks <= kv.total_blocks() - ref_used;
+      ASSERT_EQ(kv.Grow(seq, extra), fits);
+      if (fits) {
+        ref_used += blocks - it->second.blocks;
+        it->second = Held{it->second.tokens + extra, blocks};
+      }
+    } else {
+      kv.Release(seq);
+      ref_used -= it->second.blocks;
+      ref.erase(it);
+    }
+    ASSERT_EQ(kv.sequence_count(), ref.size());
+    ASSERT_EQ(kv.used_blocks(), ref_used);
+    for (SeqId id : universe) {
+      const auto held = ref.find(id);
+      ASSERT_EQ(kv.Holds(id), held != ref.end()) << "id " << id << " at step " << step;
+      ASSERT_EQ(kv.SequenceTokens(id), held == ref.end() ? 0 : held->second.tokens);
+    }
+  }
+}
+
+TEST(KvBlockManagerPropertyTest, MatchesMapReferenceOnRandomIds) {
+  distserve::Rng rng(4242);
+  std::vector<SeqId> universe;
+  for (int i = 0; i < 48; ++i) {
+    // Mixed signs and magnitudes, beside small consecutive ids.
+    universe.push_back(static_cast<SeqId>(rng.NextU64()));
+    universe.push_back(i);
+  }
+  CheckAgainstReference(universe, 1);
+}
+
+TEST(KvBlockManagerPropertyTest, MatchesMapReferenceWhenProbesWrap) {
+  std::vector<SeqId> colliding;
+  for (SeqId id = 0; colliding.size() < 24; ++id) {
+    if ((static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ull) >> 60 == 15) {
+      colliding.push_back(id);
+    }
+  }
+  CheckAgainstReference(colliding, 2);
 }
 
 }  // namespace
