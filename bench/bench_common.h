@@ -42,8 +42,8 @@ namespace distserve::bench {
 struct CommonFlags {
   bool smoke = false;          // --smoke: reduced sizes for CI
   bool analytic_tier = true;   // --no-analytic-tier clears it (DESIGN.md §15 escape hatch)
-  int shards = 1;              // --shards=N / DISTSERVE_SHARDS: simulation shards + sweep
-                               // workers (N-1 pool threads); 1 = the sequential path
+  int jobs = 1;                // --jobs=N / DISTSERVE_JOBS: sweep and planner workers
+                               // (N-1 pool threads); 1 = the sequential path
   std::string json_path;       // --json=PATH
   std::string goodput_cache;   // --goodput-cache=PATH (DISTSERVE_GOODPUT_CACHE fallback)
   std::string trace_path;      // --trace=PATH
@@ -60,16 +60,16 @@ enum CommonFlagBits : unsigned {
   kFlagTrace = 1u << 3,
   kFlagCluster = 1u << 4,
   kFlagNoAnalyticTier = 1u << 5,
-  kFlagShards = 1u << 6,
+  kFlagJobs = 1u << 6,
   kFlagPrefixHit = 1u << 7,
   kFlagChunkBudget = 1u << 8,
   kFlagTenants = 1u << 9,
 };
 
-// Strict integer parse for --shards=N / DISTSERVE_SHARDS: the whole token must be a base-10
+// Strict integer parse for --jobs=N / DISTSERVE_JOBS: the whole token must be a base-10
 // integer in [1, 1<<20]. (std::atoi would accept "4x" as 4 and turn "abc" into a misleading
-// "--shards must be >= 1" failure.)
-inline bool ParseShardsValue(const char* v, int* out) {
+// "--jobs must be >= 1" failure.)
+inline bool ParseJobsValue(const char* v, int* out) {
   if (v == nullptr || *v == '\0') {
     return false;
   }
@@ -103,18 +103,18 @@ inline bool ParseUnitFraction(const char* v, double* out) {
 // step; budgets beyond a megabatch are surely a typo).
 inline bool ParseChunkBudgetValue(const char* v, int64_t* out) {
   int n = 0;
-  if (!ParseShardsValue(v, &n)) {
+  if (!ParseJobsValue(v, &n)) {
     return false;
   }
   *out = n;
   return true;
 }
 
-// Parses argv against the accepted subset. DISTSERVE_SHARDS seeds `shards` before parsing, so
-// an explicit --shards=N wins over the environment. Returns false (after a specific error
+// Parses argv against the accepted subset. DISTSERVE_JOBS seeds `jobs` before parsing, so
+// an explicit --jobs=N wins over the environment. Returns false (after a specific error
 // line plus a usage line built from the same table) on any unknown flag, a value-taking flag
 // with a missing or empty `=VALUE`, a value handed to a valueless flag, or a value the flag's
-// validator rejects (non-numeric/zero/negative --shards).
+// validator rejects (non-numeric/zero/negative --jobs).
 inline bool ParseCommonFlags(int argc, char** argv, unsigned accepted, CommonFlags* flags) {
   struct FlagEntry {
     unsigned bit;
@@ -155,8 +155,8 @@ inline bool ParseCommonFlags(int argc, char** argv, unsigned accepted, CommonFla
          f->cluster_spec = v;
          return true;
        }},
-      {kFlagShards, "--shards", true, "[--shards=N]", "expected an integer >= 1",
-       [](CommonFlags* f, const char* v) { return ParseShardsValue(v, &f->shards); }},
+      {kFlagJobs, "--jobs", true, "[--jobs=N]", "expected an integer >= 1",
+       [](CommonFlags* f, const char* v) { return ParseJobsValue(v, &f->jobs); }},
       {kFlagPrefixHit, "--prefix-hit", true, "[--prefix-hit=F]",
        "expected a fraction in [0, 1]",
        [](CommonFlags* f, const char* v) { return ParseUnitFraction(v, &f->prefix_hit); }},
@@ -167,10 +167,10 @@ inline bool ParseCommonFlags(int argc, char** argv, unsigned accepted, CommonFla
        [](CommonFlags* f, const char* v) { return ParseUnitFraction(v, &f->tenants); }},
   };
   bool ok = true;
-  if ((accepted & kFlagShards) != 0) {
-    if (const char* env = std::getenv("DISTSERVE_SHARDS")) {
-      if (!ParseShardsValue(env, &flags->shards)) {
-        std::fprintf(stderr, "DISTSERVE_SHARDS=%s: expected an integer >= 1\n", env);
+  if ((accepted & kFlagJobs) != 0) {
+    if (const char* env = std::getenv("DISTSERVE_JOBS")) {
+      if (!ParseJobsValue(env, &flags->jobs)) {
+        std::fprintf(stderr, "DISTSERVE_JOBS=%s: expected an integer >= 1\n", env);
         ok = false;
       }
     }
@@ -209,8 +209,8 @@ inline bool ParseCommonFlags(int argc, char** argv, unsigned accepted, CommonFla
       ok = false;
     }
   }
-  if (ok && flags->shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
+  if (ok && flags->jobs < 1) {
+    std::fprintf(stderr, "--jobs must be >= 1\n");
     ok = false;
   }
   if (!ok) {
@@ -255,10 +255,10 @@ inline bool ResolveSinglePoolCluster(const CommonFlags& flags, const char* bench
   return true;
 }
 
-// The worker pool implied by --shards=N: N-1 threads plus the calling thread, null (serial
+// The worker pool implied by --jobs=N: N-1 threads plus the calling thread, null (serial
 // everywhere, no pool construction) for N=1. Handed to sweeps and the planner alike.
-inline std::unique_ptr<ThreadPool> MakeSweepPool(int shards) {
-  return shards > 1 ? std::make_unique<ThreadPool>(shards - 1) : nullptr;
+inline std::unique_ptr<ThreadPool> MakeSweepPool(int jobs) {
+  return jobs > 1 ? std::make_unique<ThreadPool>(jobs - 1) : nullptr;
 }
 
 // Wall-clock timer for the standard `wall_ms` bench field.
@@ -623,7 +623,7 @@ inline void PrintBanner(const std::string& title) {
 // `cluster` defaults to the paper testbed; a bench's --cluster flag may substitute any
 // homogeneous cluster (e.g. one pool of a parsed fleet) — the default produces stdout
 // byte-identical to the pre-flag behavior.
-// `pool` (from --shards=N) speculates planner candidates and fans the rate sweeps across
+// `pool` (from --jobs=N) speculates planner candidates and fans the rate sweeps across
 // workers; results and stdout are byte-identical at any worker count. Sweeps fall back to
 // serial while a recorder is attached (spans from concurrent runs would interleave).
 inline void RunEndToEndComparison(const Application& app, int num_requests, uint64_t seed,

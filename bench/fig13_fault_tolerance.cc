@@ -23,7 +23,7 @@
 // Multi-pool fleets are fig_hetero's job and are rejected. When the flag is absent nothing
 // extra is printed, so default stdout is byte-identical to the pre-flag output.
 //
-// --shards=N (env DISTSERVE_SHARDS) runs the MTBF sweep's points on N-1 worker threads
+// --jobs=N (env DISTSERVE_JOBS) runs the MTBF sweep's points on N-1 worker threads
 // through the DESIGN.md §17 sweep driver; rows are still printed in MTBF order and stdout is
 // byte-identical at any N. Tracing (--trace=) forces the serial path so span order is stable.
 #include <algorithm>
@@ -149,7 +149,7 @@ int Main(int argc, char** argv) {
   CommonFlags flags;
   if (!ParseCommonFlags(argc, argv,
                         kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagTrace | kFlagCluster |
-                            kFlagShards,
+                            kFlagJobs,
                         &flags)) {
     return 2;
   }
@@ -167,7 +167,7 @@ int Main(int argc, char** argv) {
   const std::string goodput_cache_path =
       placement::GoodputCacheStore::ResolvePath(flags.goodput_cache);
   // A shared recorder would interleave spans from concurrent runs; tracing stays serial.
-  const std::unique_ptr<ThreadPool> pool_owner = rec == nullptr ? MakeSweepPool(flags.shards)
+  const std::unique_ptr<ThreadPool> pool_owner = rec == nullptr ? MakeSweepPool(flags.jobs)
                                                                 : nullptr;
   ThreadPool* pool = pool_owner.get();
 
@@ -196,7 +196,7 @@ int Main(int argc, char** argv) {
 
   // Each MTBF point is an independent simulation; fan them out through the sweep driver
   // (serial when pool is null) and print rows afterward in MTBF order, so stdout is
-  // byte-identical at any --shards value.
+  // byte-identical at any --jobs value.
   std::vector<std::function<SweepRun()>> sweep_tasks;
   for (double mtbf : mtbfs) {
     sweep_tasks.push_back([&app, &cluster, &trace, &fractions, horizon, rec, mtbf] {

@@ -1,26 +1,18 @@
-// fig_fleet (extension beyond the paper's exhibits): fleet-scale serving on the sharded
-// discrete-event core (DESIGN.md §17).
+// fig_fleet (extension beyond the paper's exhibits): fleet-scale serving on one
+// discrete-event simulator (DESIGN.md §17).
 //
 // Simulates a router fronting many independent serving groups — the full build is 16 groups
 // of 2 prefill + 2 decode OPT-13B instances (64 engine instances) fed by a 16-source merged
-// arrival trace of one million requests — on simcore::ShardedSimulator with conservative
-// lookahead. The point of the exhibit is twofold: the fleet completes at this scale in one
-// process, and the result is bit-identical at every shard count, so the exhibit doubles as
-// the end-to-end determinism fixture for the sharded core.
+// arrival trace of one million requests — on one simcore::Simulator; dispatches and
+// completion notifications are events one control-plane latency away. The point of the
+// exhibit is that the fleet completes at this scale in one process, deterministically.
 //
-// Flags: --smoke (4 groups, small trace, plus an in-process bit-identity self-check of
-// shards=1 vs shards=4 — the configuration CI runs), --json=PATH (machine-readable artifact),
-// --shards=N (env DISTSERVE_SHARDS; default 1). Stdout is byte-identical at any --shards
-// value — the determinism job diffs exactly this — so everything shard-dependent (per-shard
-// event counts, sync rounds, message/spill totals) goes only into the JSON artifact.
-//
-// No thread pool is wired here: the CI container has one core, so shard advancement is
-// serial and the exhibit measures the sharded core's bookkeeping cost, not parallel speedup.
-// Multicore users can set FleetConfig::pool; the per-window work gate in
-// ShardedSimulator::Run keeps barriers off the single-active-shard windows either way.
+// Flags: --smoke (4 groups, small trace, plus an in-process self-check that a second fresh
+// fleet on the same trace gives bit-identical results — the configuration CI runs),
+// --json=PATH (machine-readable artifact). Wall time and router-message totals go only into
+// the JSON artifact, so stdout is byte-identical run to run.
 #include <algorithm>
 #include <cstdio>
-#include <string>
 
 #include "bench/bench_common.h"
 #include "serving/fleet.h"
@@ -28,10 +20,9 @@
 namespace distserve::bench {
 namespace {
 
-serving::FleetConfig MakeFleetConfig(const Application& app, int num_groups, int shards) {
+serving::FleetConfig MakeFleetConfig(const Application& app, int num_groups) {
   serving::FleetConfig fc;
   fc.num_groups = num_groups;
-  fc.shards = shards;
   fc.group_config.model = app.model;
   fc.group_config.cluster = cluster::ClusterSpec::PaperTestbed();
   fc.group_config.plan.prefill_par = {1, 1};
@@ -45,7 +36,7 @@ serving::FleetConfig MakeFleetConfig(const Application& app, int num_groups, int
 int Main(int argc, char** argv) {
   const WallTimer timer;
   CommonFlags flags;
-  if (!ParseCommonFlags(argc, argv, kFlagSmoke | kFlagJson | kFlagShards, &flags)) {
+  if (!ParseCommonFlags(argc, argv, kFlagSmoke | kFlagJson, &flags)) {
     return 2;
   }
 
@@ -69,7 +60,7 @@ int Main(int argc, char** argv) {
               num_groups, num_groups * instances_per_group, trace.size(),
               spec.rate_per_source * spec.num_sources);
 
-  serving::FleetSystem fleet(MakeFleetConfig(app, num_groups, flags.shards));
+  serving::FleetSystem fleet(MakeFleetConfig(app, num_groups));
   serving::FleetResult result = fleet.Run(trace);
 
   const metrics::Attainment att = result.collector.ComputeAttainment(app.slo);
@@ -91,23 +82,20 @@ int Main(int argc, char** argv) {
       result.collector.count() + result.collector.lost_count() == trace.size();
   std::printf("SERVED-ALL: %s\n", served_all ? "PASS" : "FAIL");
 
-  // Smoke self-check: the whole fleet, re-run sequentially and at 4 shards, must agree
-  // bit-for-bit regardless of what --shards the measured run above used.
+  // Smoke self-check: a second fresh fleet on the same trace must agree bit-for-bit with the
+  // measured run above.
   bool identical = true;
   if (flags.smoke) {
-    serving::FleetSystem seq(MakeFleetConfig(app, num_groups, /*shards=*/1));
-    serving::FleetSystem sharded(MakeFleetConfig(app, num_groups, /*shards=*/4));
-    const serving::FleetResult a = seq.Run(trace);
-    const serving::FleetResult b = sharded.Run(trace);
-    identical = metrics::BitIdentical(a.collector, b.collector) && a.events == b.events &&
-                a.group_completed == b.group_completed;
-    std::printf("BIT-IDENTITY (shards 1 vs 4): %s\n", identical ? "PASS" : "FAIL");
+    serving::FleetSystem again(MakeFleetConfig(app, num_groups));
+    const serving::FleetResult rerun = again.Run(trace);
+    identical = metrics::BitIdentical(result.collector, rerun.collector) &&
+                result.events == rerun.events && result.group_completed == rerun.group_completed;
+    std::printf("BIT-IDENTITY (re-run): %s\n", identical ? "PASS" : "FAIL");
   }
 
   if (!flags.json_path.empty()) {
     BenchJson json("fig_fleet");
     json.AddBool("smoke", flags.smoke);
-    json.AddInt("shards", flags.shards);
     json.AddInt("num_groups", num_groups);
     json.AddInt("instances", num_groups * instances_per_group);
     json.AddInt("requests", static_cast<int64_t>(trace.size()));
@@ -116,18 +104,7 @@ int Main(int argc, char** argv) {
     json.AddDouble("attainment_both", att.both);
     json.AddDouble("goodput", goodput);
     json.AddInt("events", result.events);
-    json.AddInt("sync_rounds", result.sim_stats.sync_rounds);
-    json.AddInt("cross_shard_messages", result.sim_stats.messages);
-    json.AddInt("channel_spills", result.sim_stats.channel_spills);
-    std::string per_shard;
-    for (const auto& s : result.sim_stats.shards) {
-      char buf[96];
-      std::snprintf(buf, sizeof buf, "%s{\"events\": %lld, \"messages_in\": %lld}",
-                    per_shard.empty() ? "" : ", ", static_cast<long long>(s.events),
-                    static_cast<long long>(s.messages_in));
-      per_shard += buf;
-    }
-    json.AddRaw("per_shard", "[" + per_shard + "]");
+    json.AddInt("router_messages", result.sim_stats.messages);
     json.AddWallMs(timer);
     if (!json.WriteTo(flags.json_path)) {
       std::fprintf(stderr, "failed to write %s\n", flags.json_path.c_str());

@@ -15,9 +15,9 @@
 // goodput-per-dollar, cost-per-million-requests, planner accounting, cache stats),
 // --goodput-cache=PATH (env DISTSERVE_GOODPUT_CACHE fallback), --cluster=SPEC
 // (cluster/spec_parse.h grammar; default the mixed demo fleet), --no-analytic-tier (escape
-// hatch, DESIGN.md §15), --shards=N (env DISTSERVE_SHARDS: run the planner's candidate
+// hatch, DESIGN.md §15), --jobs=N (env DISTSERVE_JOBS: run the planner's candidate
 // simulations on N-1 worker threads; DESIGN.md §17). Stdout is byte-identical across runs —
-// cache cold or warm, tier on or off, any shard count (the CI determinism job diffs exactly
+// cache cold or warm, tier on or off, any job count (the CI determinism job diffs exactly
 // this); search-cost accounting and cache statistics go only into the JSON artifact.
 #include <algorithm>
 #include <cstdio>
@@ -99,7 +99,7 @@ int Main(int argc, char** argv) {
   flags.cluster_spec = "mixed";  // default demo fleet; --cluster=SPEC overrides
   if (!ParseCommonFlags(argc, argv,
                         kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagNoAnalyticTier |
-                            kFlagCluster | kFlagShards,
+                            kFlagCluster | kFlagJobs,
                         &flags)) {
     return 2;
   }
@@ -111,7 +111,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "--cluster=%s: %s\n", flags.cluster_spec.c_str(), error.c_str());
     return 2;
   }
-  const std::unique_ptr<ThreadPool> sweep_pool = MakeSweepPool(flags.shards);
+  const std::unique_ptr<ThreadPool> sweep_pool = MakeSweepPool(flags.jobs);
 
   const Application app = ChatbotOpt13B();
   const auto dataset = workload::MakeDatasetByName(app.dataset_name);
@@ -219,7 +219,7 @@ int Main(int argc, char** argv) {
     BenchJson json("fig_hetero");
     json.AddBool("smoke", smoke);
     json.AddBool("analytic_tier", analytic_tier);
-    json.AddInt("shards", flags.shards);
+    json.AddInt("jobs", flags.jobs);
     json.AddString("fleet", cluster::FleetToString(*fleet));
     json.AddDouble("traffic_rate", traffic_rate);
     json.AddDouble("fleet_cost_per_hour", fleet->hourly_cost());

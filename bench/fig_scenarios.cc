@@ -32,14 +32,14 @@
 // Flags: --smoke (reduced trace for CI), --json=PATH (artifact), --trace=PATH (per-request
 // spans including the preempt/cancel/timeout span kinds), --goodput-cache=PATH (persist the
 // search section's planner simulations; cache accounting stays JSON-only so warm and cold
-// stdout are byte-identical), --shards=N (grid cells fan out across workers; stdout is
+// stdout are byte-identical), --jobs=N (grid cells fan out across workers; stdout is
 // byte-identical at any N), and the scenario knobs:
 //   --prefix-hit=F     restrict the hit-rate axis to {F}
 //   --chunk-budget=N   per-step token budget of the chunked system (default 512)
 //   --tenants=F        restrict the tenant axis to {F} (0 = single-tenant only; F > 0 = one
 //                      multi-tenant arm with high-priority fraction F)
 // Every knob has a default that reproduces the default grid, and two runs with the same
-// flags must be byte-identical on stdout (the determinism CI job diffs double runs, shard
+// flags must be byte-identical on stdout (the determinism CI job diffs double runs, job
 // counts, and cache modes for each knob).
 #include <cmath>
 #include <cstdio>
@@ -232,7 +232,7 @@ int Main(int argc, char** argv) {
   const WallTimer timer;
   CommonFlags flags;
   if (!ParseCommonFlags(argc, argv,
-                        kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagTrace | kFlagShards |
+                        kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagTrace | kFlagJobs |
                             kFlagPrefixHit | kFlagChunkBudget | kFlagTenants,
                         &flags)) {
     return 2;
@@ -247,7 +247,7 @@ int Main(int argc, char** argv) {
   trace::Recorder* rec = flags.trace_path.empty() ? nullptr : &recorder;
   // A shared recorder would interleave spans from concurrent cells; tracing stays serial.
   const std::unique_ptr<ThreadPool> pool_owner =
-      rec == nullptr ? MakeSweepPool(flags.shards) : nullptr;
+      rec == nullptr ? MakeSweepPool(flags.jobs) : nullptr;
   ThreadPool* pool = pool_owner.get();
 
   const Application app = ChatbotOpt13B();
@@ -289,7 +289,7 @@ int Main(int argc, char** argv) {
               "hi-both", "lo-both");
 
   // Every cell is an independent simulation; fan them across the sweep driver and print rows
-  // afterward in grid order so stdout is byte-identical at any --shards value.
+  // afterward in grid order so stdout is byte-identical at any --jobs value.
   std::vector<std::function<CellResult()>> tasks;
   tasks.reserve(cells.size());
   for (const Cell& cell : cells) {

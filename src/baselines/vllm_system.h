@@ -49,8 +49,8 @@ struct VllmConfig {
   trace::Recorder* recorder = nullptr;
 
   // Optional external simulator (DESIGN.md §17): null gives the system its own private clock;
-  // a fleet run passes one shard of a simcore::ShardedSimulator instead. Must outlive the
-  // system; with an external simulator the caller drives it (Run() is standalone-only).
+  // a fleet run passes its shared simulator instead. Must outlive the system; with an external
+  // simulator the caller drives it (Run() is standalone-only).
   simcore::Simulator* sim = nullptr;
 };
 
@@ -82,7 +82,7 @@ class VllmSystem {
   metrics::Collector FinishStream(double end_time);
 
   // Fired when a request completes, from within the simulation. Fleet routers use this to
-  // post completion notifications across shards.
+  // schedule completion notifications.
   void set_on_request_done(std::function<void(const engine::RequestState&)> fn) {
     on_request_done_ = std::move(fn);
   }

@@ -35,7 +35,7 @@ class Rng {
   // Jumped(0) is an exact copy; Jumped(a) and Jumped(b) for a != b never overlap within
   // 2^128 draws. The fleet workload generator gives source k the streams Jumped(k), so each
   // source's arrival/length sequence is a fixed function of (seed, k) — independent of how
-  // many sources exist or how the simulation is sharded (DESIGN.md §17).
+  // many sources exist (DESIGN.md §17).
   Rng Jumped(uint64_t n) const;
 
   // Uniform on [0, 2^64).

@@ -147,7 +147,7 @@ class Collector {
   void Merge(const Collector& other);
 
   // Re-sorts completed and lost records by request id — the canonical order after a Merge,
-  // independent of how requests were partitioned across groups or shards.
+  // independent of how requests were partitioned across groups.
   void SortById();
 
   // Fault counters, populated by the serving system during a faulted run.

@@ -1,25 +1,11 @@
 #include "serving/fleet.h"
 
-#include <algorithm>
 #include <limits>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace distserve::serving {
-
-namespace {
-
-simcore::ShardedSimulator::Options MakeShardOptions(const FleetConfig& config) {
-  simcore::ShardedSimulator::Options options;
-  options.num_shards = config.shards;
-  options.lookahead = std::min(config.dispatch_latency, config.notify_latency);
-  options.pool = config.pool;
-  options.channel_capacity = config.channel_capacity;
-  return options;
-}
-
-}  // namespace
 
 // Thin closed-union adapter over the two group flavors; exactly one pointer is set.
 struct FleetSystem::Group {
@@ -54,9 +40,9 @@ struct FleetSystem::Group {
   }
 };
 
-FleetSystem::FleetSystem(FleetConfig config)
-    : config_(std::move(config)), sharded_(MakeShardOptions(config_)) {
+FleetSystem::FleetSystem(FleetConfig config) : config_(std::move(config)) {
   DS_CHECK_GE(config_.num_groups, 1);
+  DS_CHECK_EQ(config_.shards, 1) << "a fleet runs on one simulator";
   DS_CHECK_GT(config_.dispatch_latency, 0.0);
   DS_CHECK_GT(config_.notify_latency, 0.0);
   DS_CHECK(config_.group_faults.empty() ||
@@ -68,58 +54,42 @@ FleetSystem::FleetSystem(FleetConfig config)
            static_cast<int>(config_.group_recorders.size()) == config_.num_groups)
       << "group_recorders must be empty or one recorder per group";
 
-  // Sender registration order is part of the canonical merge order: router first, then
-  // groups by index — never a function of the shard mapping.
-  router_sender_ = sharded_.AddSender(0);
   for (int g = 0; g < config_.num_groups; ++g) {
-    const int shard = g % sharded_.num_shards();
-    group_shard_.push_back(shard);
-    group_sender_.push_back(sharded_.AddSender(shard));
+    trace::Recorder* recorder =
+        config_.group_recorders.empty() ? nullptr : config_.group_recorders[g];
+    // The router hears about a completion one notify_latency later.
+    auto notify_done = [this, g](const engine::RequestState&) {
+      Send(config_.notify_latency, [this, g] { OnGroupNotify(g); });
+    };
     auto group = std::make_unique<Group>();
     if (config_.colocated) {
       baselines::VllmConfig vc = config_.colocated_config;
-      vc.sim = sharded_.shard(shard);
-      vc.recorder = config_.group_recorders.empty() ? nullptr : config_.group_recorders[g];
+      vc.sim = &sim_;
+      vc.recorder = recorder;
       group->colocated = std::make_unique<baselines::VllmSystem>(std::move(vc));
+      group->colocated->set_on_request_done(notify_done);
     } else {
       ServingConfig sc = config_.group_config;
-      sc.sim = sharded_.shard(shard);
+      sc.sim = &sim_;
       if (!config_.group_faults.empty()) {
         sc.faults = config_.group_faults[static_cast<size_t>(g)];
       }
-      sc.recorder = config_.group_recorders.empty() ? nullptr : config_.group_recorders[g];
+      sc.recorder = recorder;
       group->disagg = std::make_unique<ServingSystem>(std::move(sc));
+      group->disagg->set_on_request_done(notify_done);
+      group->disagg->set_fault_callback([this, g](const FaultEvent&) {
+        const bool s = groups_[static_cast<size_t>(g)]->Serviceable();
+        Send(config_.notify_latency, [this, g, s] {
+          serviceable_[static_cast<size_t>(g)] = s;
+          if (s) {
+            FlushRouterParked();
+          }
+        });
+      });
     }
     groups_.push_back(std::move(group));
     outstanding_.push_back(0);
     serviceable_.push_back(true);
-  }
-
-  for (int g = 0; g < config_.num_groups; ++g) {
-    const int sender = group_sender_[static_cast<size_t>(g)];
-    const int shard = group_shard_[static_cast<size_t>(g)];
-    // Fires on the group's shard; the router hears about it one notify_latency later.
-    auto notify_done = [this, g, sender, shard](const engine::RequestState&) {
-      sharded_.Post(sender, /*dst_shard=*/0,
-                    sharded_.shard(shard)->now() + config_.notify_latency,
-                    [this, g] { OnGroupNotify(g); });
-    };
-    Group* group = groups_[static_cast<size_t>(g)].get();
-    if (group->disagg != nullptr) {
-      group->disagg->set_on_request_done(notify_done);
-      group->disagg->set_fault_callback([this, g, sender, shard](const FaultEvent&) {
-        const bool s = groups_[static_cast<size_t>(g)]->Serviceable();
-        sharded_.Post(sender, /*dst_shard=*/0,
-                      sharded_.shard(shard)->now() + config_.notify_latency, [this, g, s] {
-                        serviceable_[static_cast<size_t>(g)] = s;
-                        if (s) {
-                          FlushRouterParked();
-                        }
-                      });
-      });
-    } else {
-      group->colocated->set_on_request_done(notify_done);
-    }
   }
 }
 
@@ -146,9 +116,8 @@ void FleetSystem::RouteArrival(const workload::Request& req) {
 
 void FleetSystem::DispatchTo(int g, const workload::Request& req) {
   ++outstanding_[static_cast<size_t>(g)];
-  const simcore::SimTime when = sharded_.shard(0)->now() + config_.dispatch_latency;
-  sharded_.Post(router_sender_, group_shard_[static_cast<size_t>(g)], when,
-                [this, g, req] { groups_[static_cast<size_t>(g)]->Submit(req); });
+  Send(config_.dispatch_latency,
+       [this, g, req] { groups_[static_cast<size_t>(g)]->Submit(req); });
 }
 
 void FleetSystem::OnGroupNotify(int g) { --outstanding_[static_cast<size_t>(g)]; }
@@ -166,11 +135,10 @@ FleetResult FleetSystem::Run(const workload::Trace& trace) {
   for (auto& group : groups_) {
     group->BeginStream(per_group);
   }
-  // Setup order is fixed regardless of shard count: the arrival stream (on the router's
-  // shard, reserving one sequence number per request in trace order), then fault plans per
-  // group — mirroring ServingSystem::Run's arrivals-then-faults convention so equal-time
-  // tie-breaks match the standalone path.
-  sharded_.shard(0)->ScheduleStream(
+  // Setup order is fixed: the arrival stream (reserving one sequence number per request in
+  // trace order), then fault plans per group — mirroring ServingSystem::Run's
+  // arrivals-then-faults convention so equal-time tie-breaks match the standalone path.
+  sim_.ScheduleStream(
       trace.size(), [&trace](size_t k) { return trace[k].arrival_time; },
       [this, &trace](size_t k) { RouteArrival(trace[k]); });
   for (auto& group : groups_) {
@@ -178,8 +146,8 @@ FleetResult FleetSystem::Run(const workload::Trace& trace) {
   }
 
   FleetResult result;
-  result.events = sharded_.Run();
-  const double end = sharded_.last_event_time();
+  result.events = sim_.Run();
+  const double end = sim_.last_event_time();
 
   // Arrivals still parked at the router never reached any group; record them lost with the
   // trace-level fields they arrived with.
@@ -201,7 +169,7 @@ FleetResult FleetSystem::Run(const workload::Trace& trace) {
     result.collector.Merge(c);
   }
   result.collector.SortById();
-  result.sim_stats = sharded_.stats();
+  result.sim_stats.messages = messages_;
   return result;
 }
 

@@ -1,35 +1,32 @@
-// Fleet-scale serving: many independent instance groups behind one router, simulated on a
-// sharded event core (DESIGN.md §17).
+// Fleet-scale serving: many independent instance groups behind one router, all on one
+// simcore::Simulator (DESIGN.md §17).
 //
 // A fleet is `num_groups` replicas of a serving configuration — disaggregated
-// (serving::ServingSystem) or colocated (baselines::VllmSystem) — each constructed on one
-// shard of a simcore::ShardedSimulator (group g lives on shard g % num_shards). A centralized
-// router on shard 0 receives every arrival and dispatches it to the serviceable group with the
-// fewest outstanding requests (ties to the lowest group index), modeling the cluster-level
-// load balancer in front of the paper's per-group controllers. Dispatch and completion
-// notifications cross shards as Post()ed messages with latencies dispatch_latency and
-// notify_latency; the lookahead is their minimum, so the router's view of group load is
-// naturally one message latency stale — exactly as a real control plane's would be.
+// (serving::ServingSystem) or colocated (baselines::VllmSystem) — each built on the fleet's
+// simulator. A centralized router receives every arrival and dispatches it to the serviceable
+// group with the fewest outstanding requests (ties to the lowest group index), modeling the
+// cluster-level load balancer in front of the paper's per-group controllers. Dispatches reach
+// a group dispatch_latency later, and completion and fault notifications reach the router
+// notify_latency later, so the router's view of group load is one message latency stale —
+// exactly as a real control plane's would be.
 //
-// Determinism: every cross-group interaction goes through the sharded core's canonical
-// (when, sender, seq) merge, senders are registered in a fixed order (router, then groups by
-// index), and per-group results are merged in group index order then re-sorted by request id.
-// FleetResult is therefore bit-identical at any shard or worker-thread count; only
-// FleetResult::sim_stats (event/message placement) depends on the shard count.
+// Determinism: every router message is an ordinary event scheduled when it is sent, so ties
+// break by the simulator's (time, seq) order; per-group results are merged in group index
+// order then re-sorted by request id.
 #ifndef DISTSERVE_SERVING_FLEET_H_
 #define DISTSERVE_SERVING_FLEET_H_
 
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "baselines/vllm_system.h"
-#include "common/thread_pool.h"
 #include "metrics/collector.h"
 #include "serving/fault_plan.h"
 #include "serving/serving_system.h"
-#include "simcore/sharded_simulator.h"
+#include "simcore/simulator.h"
 #include "workload/request.h"
 
 namespace distserve::serving {
@@ -44,7 +41,7 @@ struct FleetConfig {
   bool colocated = false;
 
   // Per-group template for disaggregated fleets. Its `sim`, `faults` and `recorder` fields
-  // are overridden per group (from the sharded core and the two vectors below).
+  // are overridden per group (the fleet's simulator and the two vectors below).
   ServingConfig group_config;
 
   // Per-group template for colocated fleets; `sim` and `recorder` are overridden per group.
@@ -53,29 +50,32 @@ struct FleetConfig {
   // Optional per-group fault plans (disaggregated fleets only); empty or size num_groups.
   std::vector<FaultPlan> group_faults;
 
-  // Optional per-group span recorders; empty or size num_groups. Per-group recorders keep
-  // tracing race-free when shards run on a thread pool.
+  // Optional per-group span recorders; empty or size num_groups.
   std::vector<trace::Recorder*> group_recorders;
 
-  // Control-plane latencies in virtual seconds; both must be positive. The sharded core's
-  // lookahead is min(dispatch_latency, notify_latency).
+  // Control-plane latencies in virtual seconds; both must be positive.
   double dispatch_latency = 1e-3;  // router -> group admission
   double notify_latency = 1e-3;    // group -> router completion/fault notification
 
-  // Sharding knobs, forwarded to simcore::ShardedSimulator::Options.
+  // Must be 1. Kept only because perfbench/src/main.cc still sets it.
   int shards = 1;
-  ThreadPool* pool = nullptr;
-  size_t channel_capacity = 1024;
 };
 
 struct FleetResult {
   // Merged per-request records across all groups, sorted by request id; router-parked
   // requests (no serviceable group, never recovered) appear as lost.
   metrics::Collector collector;
-  int64_t events = 0;              // total simulator events across shards
+  int64_t events = 0;              // simulator events fired
   int64_t router_parked_lost = 0;  // requests the router never found a serviceable group for
   std::vector<int64_t> group_completed;  // completed request count per group
-  simcore::ShardedSimulator::Stats sim_stats;
+  // Read only by perfbench/src/main.cc: `messages` counts router messages (dispatches,
+  // completion and fault notifications); the other two fields are always 0.
+  struct SimStats {
+    int64_t sync_rounds = 0;
+    int64_t messages = 0;
+    int64_t channel_spills = 0;
+  };
+  SimStats sim_stats;
 };
 
 class FleetSystem {
@@ -90,27 +90,28 @@ class FleetSystem {
   // the dispatch hop it then takes.
   FleetResult Run(const workload::Trace& trace);
 
-  int num_shards() const { return sharded_.num_shards(); }
-  const simcore::ShardedSimulator& sharded() const { return sharded_; }
-
  private:
   struct Group;
 
-  // Router logic; every method below runs inside shard-0 events.
+  // Router logic; every method below runs inside simulator events.
   void RouteArrival(const workload::Request& req);
   void DispatchTo(int g, const workload::Request& req);
   void OnGroupNotify(int g);
   void FlushRouterParked();
 
-  FleetConfig config_;
-  simcore::ShardedSimulator sharded_;
-  std::vector<std::unique_ptr<Group>> groups_;
-  std::vector<int> group_shard_;
-  std::vector<int> group_sender_;
-  int router_sender_ = -1;
+  // Schedules `fn` one control-plane `latency` from now and counts it as a router message.
+  void Send(double latency, simcore::EventCallback&& fn) {
+    ++messages_;
+    sim_.ScheduleAt(sim_.now() + latency, std::move(fn));
+  }
 
-  // Router state (shard 0 only): in-flight request count and last known serviceability per
-  // group, plus arrivals parked when no group is serviceable.
+  FleetConfig config_;
+  simcore::Simulator sim_;
+  std::vector<std::unique_ptr<Group>> groups_;
+  int64_t messages_ = 0;
+
+  // Router state: in-flight request count and last known serviceability per group, plus
+  // arrivals parked when no group is serviceable.
   std::vector<int64_t> outstanding_;
   std::vector<bool> serviceable_;
   std::deque<workload::Request> router_parked_;

@@ -87,9 +87,9 @@ struct ServingConfig {
   trace::Recorder* recorder = nullptr;
 
   // Optional external simulator (DESIGN.md §17). Null (the default) gives the system its own
-  // private clock, the classic standalone mode. A fleet run passes one shard of a
-  // simcore::ShardedSimulator instead, so several groups share (or split) virtual time; the
-  // simulator must outlive the system, and the caller drives it (Run() is standalone-only).
+  // private clock, the classic standalone mode. A fleet run passes its shared simulator
+  // instead, so several groups share virtual time; the simulator must outlive the system,
+  // and the caller drives it (Run() is standalone-only).
   simcore::Simulator* sim = nullptr;
 };
 
@@ -127,13 +127,13 @@ class ServingSystem {
   void ScheduleFaults();
 
   // Completes the stream: fails-fast any still-parked requests, closes fault downtime
-  // intervals at `end_time` (a fleet passes the canonical fleet-wide end so accounting is
-  // shard-count independent), verifies nothing was silently dropped, and yields the records.
+  // intervals at `end_time` (a fleet passes the time of its last event, shared by every
+  // group), verifies nothing was silently dropped, and yields the records.
   metrics::Collector FinishStream(double end_time);
 
   // Fired when a request leaves the system — completed (phase kDone) or lost (kLost) — from
   // within the simulation. Not fired for the FinishStream fail-fast sweep: the stream is
-  // already over. Fleet routers use this to post completion notifications across shards.
+  // already over. Fleet routers use this to schedule completion notifications.
   void set_on_request_done(std::function<void(const engine::RequestState&)> fn) {
     on_request_done_ = std::move(fn);
   }

@@ -23,21 +23,4 @@ int64_t Simulator::Run(SimTime until) {
   return processed;
 }
 
-int64_t Simulator::RunBefore(SimTime bound) {
-  int64_t processed = 0;
-  while (!queue_.empty() && queue_.NextTime() < bound) {
-    EventQueue::Fired fired = queue_.Pop();
-    DS_DCHECK(fired.time >= now_);
-    now_ = fired.time;
-    last_event_time_ = fired.time;
-    fired.fn();
-    ++processed;
-    ++events_processed_;
-  }
-  if (now_ < bound) {
-    now_ = bound;
-  }
-  return processed;
-}
-
 }  // namespace distserve::simcore

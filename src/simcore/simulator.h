@@ -32,9 +32,8 @@ class Simulator {
   int64_t events_processed() const { return events_processed_; }
 
   // Timestamp of the last event actually fired (0.0 before any event fires). Unlike now(),
-  // which a finite Run horizon or RunBefore window pins to the bound, this tracks real work —
-  // the sharded simulator uses the maximum across shards as the canonical, shard-count-
-  // independent end of a run (e.g. for closing fault downtime intervals).
+  // which a finite Run horizon pins to the bound, this tracks real work — the fleet uses it as
+  // the end of a run (e.g. for closing fault downtime intervals).
   SimTime last_event_time() const { return last_event_time_; }
 
   // Schedules `fn` at absolute virtual time `when` (must be >= now()). Inline and by rvalue
@@ -66,18 +65,8 @@ class Simulator {
   // Returns the number of events processed by this call.
   int64_t Run(SimTime until = std::numeric_limits<SimTime>::infinity());
 
-  // Processes every event strictly before `bound`, then advances the clock to exactly `bound`
-  // (events at `bound` itself stay pending). This is one conservative-lookahead window of the
-  // sharded simulator: after the call the shard's clock sits on the window edge, where
-  // cross-shard messages timestamped >= the edge can be delivered without reordering.
-  int64_t RunBefore(SimTime bound);
-
   // True when no live events remain.
   bool Idle() const { return queue_.empty(); }
-
-  // Time of the earliest pending event; +infinity when idle. The sharded simulator computes
-  // each lookahead window's start as the minimum across shards.
-  SimTime NextTime() const { return queue_.NextTime(); }
 
   // Entries stored in the event queue, cancelled-but-uncollected ones included: an upper
   // bound on the live events. Read-only; tests use it to check the queue stays bounded.

@@ -82,7 +82,7 @@ Trace GenerateSourceTrace(const FleetTraceSpec& spec, const Dataset& dataset, in
 Trace GenerateFleetTrace(const FleetTraceSpec& spec, const Dataset& dataset) {
   DS_CHECK_GT(spec.num_sources, 0);
   // Tag each request with its source so equal arrival times merge in source order — a total
-  // order that no shard mapping can disturb.
+  // order.
   struct Tagged {
     Request request;
     int source;

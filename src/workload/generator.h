@@ -33,9 +33,8 @@ Trace GenerateShiftingTrace(const TraceSpec& spec, const Dataset& first, const D
 
 // Fleet-scale workload: `num_sources` independent arrival processes (think regional
 // frontends), each a fixed function of (seed, source) via the Rng jump-ahead scheme —
-// source k draws from the arrival/length streams advanced by k * 2^128, so adding sources,
-// resizing the fleet, or sharding the simulation never perturbs an existing source's
-// sequence. The merged trace is sorted by (arrival time, source) and re-numbered 0..N-1.
+// source k draws from the arrival/length streams advanced by k * 2^128, so adding sources or
+// resizing the fleet never perturbs an existing source's sequence. The merged trace is sorted by (arrival time, source) and re-numbered 0..N-1.
 struct FleetTraceSpec {
   double rate_per_source = 1.0;  // mean requests/second per source
   double burstiness_cv = 1.0;    // 1.0 = Poisson

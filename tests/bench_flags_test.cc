@@ -10,7 +10,7 @@ namespace distserve::bench {
 namespace {
 
 constexpr unsigned kAll = kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagTrace |
-                          kFlagCluster | kFlagNoAnalyticTier | kFlagShards;
+                          kFlagCluster | kFlagNoAnalyticTier | kFlagJobs;
 
 // Runs the parser over `args` (argv[0] supplied) with a scratch CommonFlags.
 bool Parse(std::vector<std::string> args, unsigned accepted, CommonFlags* flags) {
@@ -25,15 +25,15 @@ bool Parse(std::vector<std::string> args, unsigned accepted, CommonFlags* flags)
 
 class BenchFlagsTest : public ::testing::Test {
  protected:
-  void SetUp() override { unsetenv("DISTSERVE_SHARDS"); }
-  void TearDown() override { unsetenv("DISTSERVE_SHARDS"); }
+  void SetUp() override { unsetenv("DISTSERVE_JOBS"); }
+  void TearDown() override { unsetenv("DISTSERVE_JOBS"); }
 };
 
 TEST_F(BenchFlagsTest, ParsesEveryAcceptedFlag) {
   CommonFlags flags;
   EXPECT_TRUE(Parse({"--smoke", "--json=out.json", "--goodput-cache=cache.txt",
                      "--trace=trace.json", "--cluster=4x8xA100", "--no-analytic-tier",
-                     "--shards=4"},
+                     "--jobs=4"},
                     kAll, &flags));
   EXPECT_TRUE(flags.smoke);
   EXPECT_EQ(flags.json_path, "out.json");
@@ -41,12 +41,12 @@ TEST_F(BenchFlagsTest, ParsesEveryAcceptedFlag) {
   EXPECT_EQ(flags.trace_path, "trace.json");
   EXPECT_EQ(flags.cluster_spec, "4x8xA100");
   EXPECT_FALSE(flags.analytic_tier);
-  EXPECT_EQ(flags.shards, 4);
+  EXPECT_EQ(flags.jobs, 4);
 }
 
 TEST_F(BenchFlagsTest, RejectsBadShardValues) {
-  for (const char* arg : {"--shards=0", "--shards=-2", "--shards=abc", "--shards=4x",
-                          "--shards=", "--shards=99999999999999"}) {
+  for (const char* arg : {"--jobs=0", "--jobs=-2", "--jobs=abc", "--jobs=4x",
+                          "--jobs=", "--jobs=99999999999999"}) {
     CommonFlags flags;
     EXPECT_FALSE(Parse({arg}, kAll, &flags)) << arg;
   }
@@ -75,41 +75,41 @@ TEST_F(BenchFlagsTest, RejectsUnknownAndUnacceptedFlags) {
 }
 
 TEST_F(BenchFlagsTest, ShardsEnvironmentFallbackAndOverride) {
-  setenv("DISTSERVE_SHARDS", "3", 1);
+  setenv("DISTSERVE_JOBS", "3", 1);
   CommonFlags flags;
   EXPECT_TRUE(Parse({}, kAll, &flags));
-  EXPECT_EQ(flags.shards, 3);
+  EXPECT_EQ(flags.jobs, 3);
   // Explicit flag beats the environment.
   CommonFlags flags2;
-  EXPECT_TRUE(Parse({"--shards=7"}, kAll, &flags2));
-  EXPECT_EQ(flags2.shards, 7);
+  EXPECT_TRUE(Parse({"--jobs=7"}, kAll, &flags2));
+  EXPECT_EQ(flags2.jobs, 7);
 }
 
 TEST_F(BenchFlagsTest, BadShardsEnvironmentFailsLoudly) {
   for (const char* bad : {"0", "-1", "two", "4x", ""}) {
-    setenv("DISTSERVE_SHARDS", bad, 1);
+    setenv("DISTSERVE_JOBS", bad, 1);
     CommonFlags flags;
-    EXPECT_FALSE(Parse({}, kAll, &flags)) << "DISTSERVE_SHARDS=" << bad;
+    EXPECT_FALSE(Parse({}, kAll, &flags)) << "DISTSERVE_JOBS=" << bad;
   }
 }
 
 TEST_F(BenchFlagsTest, EnvironmentIgnoredWhenShardsNotAccepted) {
-  setenv("DISTSERVE_SHARDS", "junk", 1);
+  setenv("DISTSERVE_JOBS", "junk", 1);
   CommonFlags flags;
   EXPECT_TRUE(Parse({"--smoke"}, kFlagSmoke, &flags));
-  EXPECT_EQ(flags.shards, 1);
+  EXPECT_EQ(flags.jobs, 1);
 }
 
 TEST_F(BenchFlagsTest, StrictShardParser) {
   int out = 0;
-  EXPECT_TRUE(ParseShardsValue("1", &out));
+  EXPECT_TRUE(ParseJobsValue("1", &out));
   EXPECT_EQ(out, 1);
-  EXPECT_TRUE(ParseShardsValue("1048576", &out));
-  EXPECT_FALSE(ParseShardsValue("1048577", &out));  // above the sanity cap
-  EXPECT_FALSE(ParseShardsValue("0", &out));
-  EXPECT_FALSE(ParseShardsValue("4 ", &out));
-  EXPECT_FALSE(ParseShardsValue("0x4", &out));
-  EXPECT_FALSE(ParseShardsValue(nullptr, &out));
+  EXPECT_TRUE(ParseJobsValue("1048576", &out));
+  EXPECT_FALSE(ParseJobsValue("1048577", &out));  // above the sanity cap
+  EXPECT_FALSE(ParseJobsValue("0", &out));
+  EXPECT_FALSE(ParseJobsValue("4 ", &out));
+  EXPECT_FALSE(ParseJobsValue("0x4", &out));
+  EXPECT_FALSE(ParseJobsValue(nullptr, &out));
 }
 
 }  // namespace

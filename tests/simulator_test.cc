@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "simcore/sharded_simulator.h"
 
 namespace distserve::simcore {
 namespace {
@@ -196,47 +195,42 @@ TEST(ArrivalStreamTest, QueueHoldsOnlyTheNextArrival) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-// One stream on shard 0 of a sharded simulator, Posting each arrival to another shard.
+// One stream whose arrivals are each delivered, after a fixed link delay, to one of several
+// receivers that log the delivery and queue zero-delay work: the fleet's router-to-group
+// handoff on one simulator (it used to cross the shards of a sharded core, hence the name).
 std::vector<EventLog> RunShardedPlan(const ArrivalPlan& plan, bool streamed) {
-  constexpr int kShards = 3;
-  constexpr SimTime kLookahead = 0.25;
-  ShardedSimulator::Options options;
-  options.num_shards = kShards;
-  options.lookahead = kLookahead;
-  ShardedSimulator sharded(options);
-  const int router = sharded.AddSender(0);
-  std::vector<EventLog> logs(kShards);
-  Simulator* source = sharded.shard(0);
+  constexpr size_t kReceivers = 3;
+  constexpr SimTime kLinkDelay = 0.25;
+  Simulator sim;
+  std::vector<EventLog> logs(kReceivers + 1);  // logs[0] is the source's
   auto arrive = [&](size_t k) {
-    logs[0].emplace_back(source->now(), "arrival " + std::to_string(k));
-    const int dst = static_cast<int>(k % kShards);
-    sharded.Post(router, dst, source->now() + kLookahead, [&, dst, k] {
-      Simulator* local = sharded.shard(dst);
-      logs[static_cast<size_t>(dst)].emplace_back(local->now(), "recv " + std::to_string(k));
-      local->ScheduleAfter(0.0, [&, local, dst, k] {
-        logs[static_cast<size_t>(dst)].emplace_back(local->now(), "work " + std::to_string(k));
+    logs[0].emplace_back(sim.now(), "arrival " + std::to_string(k));
+    const size_t dst = 1 + k % kReceivers;
+    sim.ScheduleAfter(kLinkDelay, [&, dst, k] {
+      logs[dst].emplace_back(sim.now(), "recv " + std::to_string(k));
+      sim.ScheduleAfter(0.0, [&, dst, k] {
+        logs[dst].emplace_back(sim.now(), "work " + std::to_string(k));
       });
     });
     if (plan.fixed_delay[k] >= 0.0) {
-      source->ScheduleAfter(plan.fixed_delay[k], [&, k] {
-        logs[0].emplace_back(source->now(), "delayed " + std::to_string(k));
+      sim.ScheduleAfter(plan.fixed_delay[k], [&, k] {
+        logs[0].emplace_back(sim.now(), "delayed " + std::to_string(k));
       });
     }
   };
   if (streamed) {
-    source->ScheduleStream(
+    sim.ScheduleStream(
         plan.times.size(), [&plan](size_t k) { return plan.times[k]; }, arrive);
   } else {
     for (size_t k = 0; k < plan.times.size(); ++k) {
-      source->ScheduleAt(plan.times[k], [&arrive, k] { arrive(k); });
+      sim.ScheduleAt(plan.times[k], [&arrive, k] { arrive(k); });
     }
   }
   for (size_t i = 0; i < plan.late_events.size(); ++i) {
-    source->ScheduleAt(plan.late_events[i], [&, i] {
-      logs[0].emplace_back(source->now(), "late " + std::to_string(i));
-    });
+    sim.ScheduleAt(plan.late_events[i],
+                   [&, i] { logs[0].emplace_back(sim.now(), "late " + std::to_string(i)); });
   }
-  sharded.Run();
+  sim.Run();
   return logs;
 }
 

@@ -6,6 +6,8 @@
 #include <numeric>
 #include <vector>
 
+#include "placement/sweep.h"
+
 namespace distserve {
 namespace {
 
@@ -140,6 +142,15 @@ TEST(SpeculativeTaskSetTest, ForceAfterSpeculationReturnsSameValue) {
   for (int i = 31; i >= 0; --i) {
     EXPECT_EQ(set.Force(static_cast<size_t>(i)), i + 100);
   }
+}
+
+// --- The sweep driver is deterministic too. ---
+
+TEST(SweepDriverTest, WorkerCountDoesNotChangeResults) {
+  const auto square = [](size_t i) { return static_cast<double>(i) * 1.5; };
+  const std::vector<double> serial = placement::RunSweep<double>(nullptr, 32, square);
+  ThreadPool pool(3);
+  EXPECT_EQ(placement::RunSweep<double>(&pool, 32, square), serial);
 }
 
 }  // namespace
