@@ -131,13 +131,22 @@ double Rng::Normal(double mean, double stddev) {
 double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
 
 double Rng::Gamma(double shape, double scale) {
-  DS_DCHECK(shape > 0.0);
   DS_DCHECK(scale > 0.0);
+  double post;
+  const double unit = GammaUnit(shape, &post);
+  return unit * scale * post;
+}
+
+double Rng::GammaUnit(double shape, double* post) {
+  DS_DCHECK(shape > 0.0);
   if (shape < 1.0) {
     // Boost shape above 1 and correct with a power of a uniform (Marsaglia–Tsang trick).
     const double u = NextDouble();
-    return Gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
+    const double unit = GammaUnit(shape + 1.0, post);
+    *post = std::pow(u, 1.0 / shape);
+    return unit;
   }
+  *post = 1.0;
   const double d = shape - 1.0 / 3.0;
   const double c = 1.0 / std::sqrt(9.0 * d);
   while (true) {
@@ -149,10 +158,10 @@ double Rng::Gamma(double shape, double scale) {
     v = v * v * v;
     const double u = NextDouble();
     if (u < 1.0 - 0.0331 * x * x * x * x) {
-      return d * v * scale;
+      return d * v;
     }
     if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-      return d * v * scale;
+      return d * v;
     }
   }
 }

@@ -60,7 +60,14 @@ class Rng {
   double LogNormal(double mu, double sigma);
 
   // Gamma(shape k, scale theta) via Marsaglia–Tsang; used for bursty arrival processes.
+  // Defined as GammaUnit(shape, &post) * scale * post.
   double Gamma(double shape, double scale);
+
+  // The scale-free part of one Gamma(shape, ·) draw: returns the Marsaglia–Tsang factor d*v
+  // and sets *post to the shape < 1 boost correction pow(u, 1/shape) (1.0 for shape >= 1).
+  // Consumes the same draws as Gamma, so one set of draws rescales bit-exactly to any scale:
+  // workload::TraceCache builds every probe rate's trace from one table of them.
+  double GammaUnit(double shape, double* post);
 
   // Bernoulli trial.
   bool Bernoulli(double p);

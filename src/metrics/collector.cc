@@ -56,13 +56,20 @@ std::string ScenarioOutcomeStats::ToString() const {
   return out.str();
 }
 
-void Collector::Merge(const Collector& other) {
-  records_.insert(records_.end(), other.records_.begin(), other.records_.end());
+void Collector::Merge(Collector other) {
+  const auto append = [](std::vector<RequestRecord>& into, std::vector<RequestRecord>& from) {
+    if (into.empty()) {
+      into.swap(from);
+    } else {
+      into.insert(into.end(), from.begin(), from.end());
+    }
+  };
+  append(records_, other.records_);
   // Straight append, not RecordLost: other's fault_stats_.requests_lost already counts these
   // and is summed below.
-  lost_.insert(lost_.end(), other.lost_.begin(), other.lost_.end());
-  cancelled_.insert(cancelled_.end(), other.cancelled_.begin(), other.cancelled_.end());
-  timed_out_.insert(timed_out_.end(), other.timed_out_.begin(), other.timed_out_.end());
+  append(lost_, other.lost_);
+  append(cancelled_, other.cancelled_);
+  append(timed_out_, other.timed_out_);
   scenario_stats_.requests_cancelled += other.scenario_stats_.requests_cancelled;
   scenario_stats_.requests_timed_out += other.scenario_stats_.requests_timed_out;
   scenario_stats_.decode_preemptions += other.scenario_stats_.decode_preemptions;

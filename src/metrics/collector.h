@@ -143,8 +143,10 @@ class Collector {
   // Folds `other` into this collector: appends its completed and lost records and sums its
   // fault counters. The fleet merge (serving/fleet.cc) re-sorts by request id afterwards; call
   // order therefore only affects FaultStats summation order, which callers keep fixed (group
-  // index order) for bit-identical totals.
-  void Merge(const Collector& other);
+  // index order) for bit-identical totals. Each of this collector's record vectors that is
+  // still empty takes `other`'s buffer instead of copying it, so moving a collector in (the
+  // fleet's first group) copies no records.
+  void Merge(Collector other);
 
   // Re-sorts completed and lost records by request id — the canonical order after a Merge,
   // independent of how requests were partitioned across groups.

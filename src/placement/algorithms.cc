@@ -146,7 +146,7 @@ PlannerResult HighNodeAffinityPlacement(const PlannerInputs& inputs) {
       const PhaseSim sim = sims.Force(task);
       ++result.simulations_run;
       result.probes += sim.stats.probes;
-      result.trace_cache_hits += sim.stats.trace_cache_hits;
+      result.trace_cache_hits += ctx.CountTraceHits(sim);
       if (sim.cache_hit) {
         ++result.cache_hits;
       }
@@ -230,7 +230,7 @@ PlannerResult LowNodeAffinityPlacement(const PlannerInputs& inputs) {
       forced[static_cast<size_t>(pc.task)] = 1;
       ++result.simulations_run;
       result.probes += sim.stats.probes;
-      result.trace_cache_hits += sim.stats.trace_cache_hits;
+      result.trace_cache_hits += ctx.CountTraceHits(sim);
       if (sim.cache_hit) {
         ++result.cache_hits;
       }

@@ -15,10 +15,11 @@
 // Search engine (this reproduction's extension; see DESIGN.md §10): candidate goodput
 // simulations are pure, so both algorithms evaluate them on a thread pool while the winner
 // fold runs on the calling thread in enumeration order — N-thread results are bit-identical
-// to the serial search. Probe traces are shared through a workload::TraceCache, per-config
-// goodputs are memoized across invocations in a placement::GoodputCache (replanning
-// re-searches only simulate configs whose inputs changed), and an analytic roofline upper
-// bound prunes configs that provably cannot beat the incumbent.
+// to the serial search. Probe traces are built from one shared table of rate-free draws
+// (workload::TraceCache), per-config goodputs are memoized across invocations in a
+// placement::GoodputCache (replanning re-searches only simulate configs whose inputs
+// changed), and an analytic roofline upper bound prunes configs that provably cannot beat
+// the incumbent.
 //
 // Tiered fidelity (this PR's extension; see DESIGN.md §15): tier 1 prices every candidate
 // with a closed-form M/D/1 + Appendix-A estimate (placement/analytic_tier.h), batched
@@ -107,10 +108,10 @@ struct PlannerInputs {
   // for candidate reports).
   bool prune_search_space = true;
 
-  // Share probe traces across the invocation's rate searches through a workload::TraceCache
-  // (the caller's inputs.search.trace_cache when set, else a per-invocation one). Cached
-  // traces are bit-identical to fresh generation; off regenerates every probe trace — the
-  // pre-engine behavior, kept for cost ablations (Figure 12).
+  // Build the invocation's probe traces from shared rate-free draws (workload::TraceCache:
+  // the caller's inputs.search.trace_cache when set, else a per-invocation one). Traces are
+  // bit-identical to fresh generation; off regenerates every probe trace — the pre-engine
+  // behavior, kept for cost ablations (Figure 12).
   bool share_probe_traces = true;
 
   // Tier-1 analytic pre-filter (DESIGN.md §15). When on: (a) a config whose sanitized
@@ -182,9 +183,11 @@ struct PlannerResult {
   int pairs_pruned_analytic = 0;
 
   // Tier-2 cost actually paid: FindMaxRate attainment probes summed over the simulations
-  // that ran (cache hits contribute zero), and how many of those probes reused a cached
-  // trace. The speedup story of the tiered search is visible right here: tier-on runs fewer
-  // simulations and therefore fewer probes for the same plan.
+  // that ran (cache hits contribute zero), and how many of those probes asked for a trace
+  // spec the trace cache had counted before (the same at any thread count: the fold counts
+  // kept simulations in enumeration order). The speedup story of the tiered search is
+  // visible right here: tier-on runs fewer simulations and therefore fewer probes for the
+  // same plan.
   int64_t probes = 0;
   int64_t trace_cache_hits = 0;
 };

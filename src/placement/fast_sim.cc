@@ -120,8 +120,12 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
                                     int max_batch_size, bool batched_steps,
                                     AttainmentVerdict* verdict) {
   DS_PROF_ZONE("fast_sim.decode");
-  DS_CHECK_EQ(trace.size(), ready_times.size());
+  DS_CHECK(ready_times.empty() || ready_times.size() == trace.size());
   DS_CHECK_GT(max_batch_size, 0);
+  // An empty span means every request is ready at its arrival (planner decode probes).
+  const auto ready = [&](size_t idx) {
+    return ready_times.empty() ? trace[idx].arrival_time : ready_times[idx];
+  };
   std::vector<double> tpot(verdict == nullptr ? trace.size() : 0, 0.0);
   // Every request's TPOT is produced exactly once, through here.
   auto finish = [&](size_t idx, double value) {
@@ -150,7 +154,7 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
   }
   // Planner probes pass arrival-ordered traces, so the order is usually sorted already; a
   // stable sort of a sorted range is the identity, ties included.
-  const auto earlier = [&](size_t a, size_t b) { return ready_times[a] < ready_times[b]; };
+  const auto earlier = [&](size_t a, size_t b) { return ready(a) < ready(b); };
   if (!std::is_sorted(order.begin(), order.end(), earlier)) {
     std::stable_sort(order.begin(), order.end(), earlier);
   }
@@ -190,10 +194,10 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
 
   while ((next < order.size() || resident() > 0) && !Settled(verdict)) {
     if (resident() == 0) {
-      now = std::max(now, ready_times[order[next]]);
+      now = std::max(now, ready(order[next]));
     }
     // Admit ready requests while memory and the batch cap allow.
-    while (next < order.size() && ready_times[order[next]] <= now &&
+    while (next < order.size() && ready(order[next]) <= now &&
            resident() < max_batch_size) {
       const size_t idx = order[next];
       const int64_t need = trace[idx].total_len();
@@ -208,7 +212,7 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
         heap.push_back(Resident{step + trace[idx].output_len - 1, idx});
         std::push_heap(heap.begin(), heap.end(), later);
       } else {
-        active.push_back(Active{idx, trace[idx].output_len - 1, ctx, ready_times[idx]});
+        active.push_back(Active{idx, trace[idx].output_len - 1, ctx, ready(idx)});
       }
       ctx_sum += ctx;
       ++next;
@@ -254,7 +258,7 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
     const bool admit_pending =
         next < order.size() && resident() < max_batch_size &&
         used_tokens + trace[order[next]].total_len() <= kv_capacity_tokens;
-    const double next_ready = admit_pending ? ready_times[order[next]] : 0.0;
+    const double next_ready = admit_pending ? ready(order[next]) : 0.0;
     const model::LatencyModel::DecodeRunPricer price = lm.DecodeRun(lane_batch);
     int stepped = 0;
     while (stepped < run) {
@@ -277,7 +281,7 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
       heap.pop_back();
       ctx_sum -= trace[idx].total_len();  // ctx_base + finish_step
       used_tokens -= trace[idx].total_len();
-      finish(idx, (now - ready_times[idx]) / static_cast<double>(trace[idx].output_len - 1));
+      finish(idx, (now - ready(idx)) / static_cast<double>(trace[idx].output_len - 1));
     }
   }
   return tpot;

@@ -43,9 +43,10 @@ std::vector<double> SimulatePrefillFinishTimes(const model::LatencyModel& lm,
                                                const workload::Trace& trace,
                                                int64_t target_tokens, int max_batch_size);
 
-// Decode-only instance: requests arrive at `ready_times` (first token already produced),
-// admission reserves the full final context against `kv_capacity_tokens`, and the batch steps
-// at the micro-batch lane cadence. Returns per-request TPOT (0 for single-token outputs).
+// Decode-only instance: requests arrive at `ready_times` (first token already produced; an
+// empty vector means each request is ready at its arrival time), admission reserves the full
+// final context against `kv_capacity_tokens`, and the batch steps at the micro-batch lane
+// cadence. Returns per-request TPOT (0 for single-token outputs).
 //
 // `batched_steps` selects the probe-loop implementation. true (default) is the step-indexed
 // kernel every planner probe runs: the instance keeps one global decode-step counter, and

@@ -31,21 +31,16 @@ double FindMaxRate(const std::function<double(const workload::Trace&)>& attainme
     spec.seed = options.seed;
     if (stats != nullptr) {
       ++stats->probes;
+      stats->probe_specs.push_back(spec);
     }
     if (options.trace_cache != nullptr) {
-      bool hit = false;
-      const std::shared_ptr<const workload::Trace> trace =
-          options.trace_cache->Get(spec, dataset, &hit);
-      if (stats != nullptr && hit) {
-        ++stats->trace_cache_hits;
-      }
-      return attainment_at(*trace);
+      return attainment_at(options.trace_cache->Build(spec, dataset));
     }
     return attainment_at(workload::GenerateTrace(spec, dataset));
   };
   // The exponential-probe lattice: rate_probe * 2^k. Keeping every probe on this lattice —
-  // warm-started or not — is what lets the trace cache share probe traces across configs and
-  // keeps hinted searches on the same pass/fail boundary as cold ones.
+  // warm-started or not — repeats trace specs across configs (trace cache hits) and keeps
+  // hinted searches on the same pass/fail boundary as cold ones.
   auto lattice = [&](int k) { return options.rate_probe * std::ldexp(1.0, k); };
   // Cap-out short-circuit (see GoodputSearchOptions::rate_cap): `capped(r)` is checked
   // exactly when r has just been established as a passing rate, i.e. whenever the running

@@ -4,10 +4,10 @@
 // The paper "enumerates the placements via binary search and finds the maximum rate that meets
 // the SLO attainment target with simulation trials" (§4.1). FindMaxRate does exactly that: an
 // exponential probe to bracket the knee, then bisection; each probe resamples a trace at the
-// candidate rate from the workload distribution (as the paper does). Probe traces are fetched
-// through an optional workload::TraceCache — probe rates live on a shared lattice
-// (rate_probe * 2^k), so the dozens of searches a planner runs against different parallelism
-// configs regenerate identical traces without one.
+// candidate rate from the workload distribution (as the paper does). Probe traces are built
+// through an optional workload::TraceCache, which keeps the seed's rate-free draws and only
+// rescales the gaps per probe — the dozens of searches a planner runs against different
+// parallelism configs would otherwise redraw the same requests for every probe.
 //
 // `rate_hint` warm-starts the exponential probe near a previously measured rate for the same
 // configuration (replanning after traffic drift). The probe stays on the same lattice and
@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "workload/generator.h"
 #include "workload/trace_cache.h"
@@ -40,8 +41,12 @@ struct GoodputSearchOptions {
   double burstiness_cv = 1.0;
   uint64_t seed = 1234;
 
-  // Shared probe-trace cache (non-owning; may be null). Cached traces are bit-identical to
-  // fresh generation, so enabling the cache never changes results.
+  // Shared probe-trace draws (non-owning; may be null). Traces built from them are
+  // bit-identical to fresh generation, so enabling the cache never changes results. The
+  // search only builds from it (TraceCache::Build) and counts no hits: a caller that reports
+  // them counts GoodputSearchStats::probe_specs itself (TraceCache::Count). The planner does
+  // so for the searches its fold keeps, in fold order, so its count does not depend on which
+  // speculative searches happened to run.
   workload::TraceCache* trace_cache = nullptr;
 
   // When > 0 (and finite; anything else is ignored), start the exponential probe at the
@@ -67,8 +72,8 @@ struct GoodputSearchOptions {
 
 // Cost accounting for one search (Figure 12 / PlannerResult reporting).
 struct GoodputSearchStats {
-  int probes = 0;             // attainment evaluations (trace simulations requested)
-  int trace_cache_hits = 0;   // probes whose trace came from the cache
+  int probes = 0;  // attainment evaluations (trace simulations requested)
+  std::vector<workload::TraceSpec> probe_specs;  // every probe's trace, in probe order
 };
 
 // `attainment_at(trace)` returns the joint SLO attainment for one trace, or any value on the

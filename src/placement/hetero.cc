@@ -146,7 +146,7 @@ class HeteroSearch {
     const PhaseSim sim = ctx_[static_cast<size_t>(pool)]->SimulatePhase(par, is_prefill);
     ++out_->simulations_run;
     out_->probes += sim.stats.probes;
-    out_->trace_cache_hits += sim.stats.trace_cache_hits;
+    out_->trace_cache_hits += ctx_[static_cast<size_t>(pool)]->CountTraceHits(sim);
     if (sim.cache_hit) {
       ++out_->cache_hits;
     }

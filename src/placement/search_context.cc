@@ -84,12 +84,9 @@ double SimulateDecodeRate(const PlannerInputs& inputs, const model::ParallelismC
     return 0.0;
   }
   auto attainment = [&](const workload::Trace& trace) {
-    std::vector<double> ready(trace.size());
-    for (size_t i = 0; i < trace.size(); ++i) {
-      ready[i] = trace[i].arrival_time;
-    }
-    return SimulateDecodeAttainment(lm, kv_capacity, trace, ready, inputs.decode_max_batch,
-                                    inputs.slo.tpot, search.attainment_target);
+    return SimulateDecodeAttainment(lm, kv_capacity, trace, /*ready_times=*/{},
+                                    inputs.decode_max_batch, inputs.slo.tpot,
+                                    search.attainment_target);
   };
   return FindMaxRate(attainment, *inputs.dataset, search, stats);
 }
@@ -154,9 +151,8 @@ SearchContext::SearchContext(const PlannerInputs& inputs)
     owned_pool_ = std::make_unique<ThreadPool>(inputs.num_threads - 1);
     pool_ = owned_pool_.get();
   }
-  // Probe traces are shared across every candidate's rate search; if the caller did not
-  // provide a cache, a per-invocation one still collapses the dozens of identical
-  // (rate, seed) generations the lattice produces.
+  // Probe traces are built from draws shared across every candidate's rate search; if the
+  // caller did not provide a cache, a per-invocation one still draws each request once.
   if (!inputs.share_probe_traces) {
     search_.trace_cache = nullptr;
   } else if (search_.trace_cache == nullptr) {
@@ -246,6 +242,17 @@ PhaseSim SearchContext::SimulatePhase(const model::ParallelismConfig& par,
     cache->UpdateRateHint(hint_key, rate);
   }
   return sim;
+}
+
+int SearchContext::CountTraceHits(const PhaseSim& sim) const {
+  int hits = 0;
+  if (search_.trace_cache == nullptr) {
+    return hits;
+  }
+  for (const workload::TraceSpec& spec : sim.stats.probe_specs) {
+    hits += search_.trace_cache->Count(spec, *inputs_.dataset) ? 1 : 0;
+  }
+  return hits;
 }
 
 SearchContext::PhaseBounds SearchContext::GoodputUpperBounds(const model::ParallelismConfig& par,

@@ -120,6 +120,11 @@ class SearchContext {
   // the plan.
   PhaseSim SimulatePhase(const model::ParallelismConfig& par, bool is_prefill) const;
 
+  // Counts a kept simulation's probes against the trace cache (TraceCache::Count) and
+  // returns its trace-cache hits; 0 without a cache. The fold calls it in enumeration order
+  // for the simulations it keeps, so the count is the same at any thread count.
+  int CountTraceHits(const PhaseSim& sim) const;
+
   // Upper bounds on the phase's derated goodput, one per tier. tier_goodput is the same cap
   // SimulatePhase clamps results to, so no simulated candidate can exceed it;
   // roofline_goodput (>= tier_goodput) is the PR-1 bound alone, kept separate so skips can

@@ -162,11 +162,19 @@ FleetResult FleetSystem::Run(const workload::Trace& trace) {
   }
   router_parked_.clear();
 
-  // Merge in group index order (fixed FaultStats summation order), then canonicalize.
+  // Merge in group index order (fixed FaultStats summation order), then canonicalize. The
+  // first group's records are moved in and grown once to the fleet total.
+  std::vector<metrics::Collector> finished;
+  finished.reserve(groups_.size());
+  size_t completed = 0;
   for (auto& group : groups_) {
-    metrics::Collector c = group->Finish(end);
-    result.group_completed.push_back(static_cast<int64_t>(c.count()));
-    result.collector.Merge(c);
+    finished.push_back(group->Finish(end));
+    result.group_completed.push_back(static_cast<int64_t>(finished.back().count()));
+    completed += finished.back().count();
+  }
+  for (metrics::Collector& c : finished) {
+    result.collector.Merge(std::move(c));
+    result.collector.Reserve(completed);
   }
   result.collector.SortById();
   result.sim_stats.messages = messages_;

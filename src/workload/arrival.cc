@@ -55,6 +55,10 @@ GammaArrivals::GammaArrivals(double rate, double cv) : rate_(rate), cv_(cv) {
 
 double GammaArrivals::NextGap(Rng& rng) { return SanitizeGap(rng.Gamma(shape_, scale_)); }
 
+double GammaArrivals::GapFromUnit(double unit, double post) const {
+  return SanitizeGap(unit * scale_ * post);
+}
+
 FixedArrivals::FixedArrivals(double rate) : rate_(rate) { CheckRate(rate, "FixedArrivals"); }
 
 double FixedArrivals::NextGap(Rng& /*rng*/) { return 1.0 / rate_; }

@@ -63,6 +63,10 @@ class GammaArrivals : public ArrivalProcess {
   double NextGap(Rng& rng) override;
   double rate() const override { return rate_; }
   double cv() const { return cv_; }  // post-clamp value actually in effect
+  double shape() const { return shape_; }
+
+  // NextGap for the draws unit = rng.GammaUnit(shape(), &post), bit for bit.
+  double GapFromUnit(double unit, double post) const;
 
  private:
   double rate_;

@@ -6,30 +6,11 @@
 
 namespace distserve::workload {
 
-namespace {
-constexpr uint64_t kArrivalStream = 1;
-constexpr uint64_t kLengthStream = 2;
-}  // namespace
-
 Trace GenerateTrace(const TraceSpec& spec, const Dataset& dataset) {
-  DS_CHECK_GT(spec.rate, 0.0);
-  DS_CHECK_GT(spec.num_requests, 0);
-  const Rng root(spec.seed);
-  Rng arrival_rng = root.Fork(kArrivalStream);
-  Rng length_rng = root.Fork(kLengthStream);
-  GammaArrivals arrivals(spec.rate, spec.burstiness_cv);
-
-  Trace trace;
-  trace.reserve(static_cast<size_t>(spec.num_requests));
-  double clock = 0.0;
-  for (int i = 0; i < spec.num_requests; ++i) {
-    if (i > 0) {
-      clock += arrivals.NextGap(arrival_rng);
-    }
-    const LengthSample lens = dataset.Sample(length_rng);
-    trace.push_back(Request{/*id=*/i, /*arrival_time=*/clock, lens.input_len, lens.output_len});
-  }
-  return trace;
+  // Source 0 draws from the seed's streams unjumped (Jumped(0) is a copy): the same trace.
+  const FleetTraceSpec one_source{spec.rate, spec.burstiness_cv, spec.num_requests,
+                                  /*num_sources=*/1, spec.seed};
+  return GenerateSourceTrace(one_source, dataset, /*source=*/0);
 }
 
 Trace GenerateShiftingTrace(const TraceSpec& spec, const Dataset& first, const Dataset& second,
@@ -42,19 +23,12 @@ Trace GenerateShiftingTrace(const TraceSpec& spec, const Dataset& first, const D
   Rng length_rng = root.Fork(kLengthStream);
   GammaArrivals first_arrivals(spec.rate, spec.burstiness_cv);
   GammaArrivals second_arrivals(second_rate, spec.burstiness_cv);
-
-  Trace trace;
-  trace.reserve(static_cast<size_t>(spec.num_requests));
-  double clock = 0.0;
-  for (int i = 0; i < spec.num_requests; ++i) {
-    const bool shifted = i >= shift_after;
-    if (i > 0) {
-      clock += (shifted ? second_arrivals : first_arrivals).NextGap(arrival_rng);
-    }
-    const LengthSample lens = (shifted ? second : first).Sample(length_rng);
-    trace.push_back(Request{/*id=*/i, /*arrival_time=*/clock, lens.input_len, lens.output_len});
-  }
-  return trace;
+  return AssembleTrace(
+      spec.num_requests,
+      [&](int i) {
+        return (i >= shift_after ? second_arrivals : first_arrivals).NextGap(arrival_rng);
+      },
+      [&](int i) { return (i >= shift_after ? second : first).Sample(length_rng); });
 }
 
 Trace GenerateSourceTrace(const FleetTraceSpec& spec, const Dataset& dataset, int source) {
@@ -65,18 +39,9 @@ Trace GenerateSourceTrace(const FleetTraceSpec& spec, const Dataset& dataset, in
   Rng arrival_rng = root.Fork(kArrivalStream).Jumped(static_cast<uint64_t>(source));
   Rng length_rng = root.Fork(kLengthStream).Jumped(static_cast<uint64_t>(source));
   GammaArrivals arrivals(spec.rate_per_source, spec.burstiness_cv);
-
-  Trace trace;
-  trace.reserve(static_cast<size_t>(spec.requests_per_source));
-  double clock = 0.0;
-  for (int i = 0; i < spec.requests_per_source; ++i) {
-    if (i > 0) {
-      clock += arrivals.NextGap(arrival_rng);
-    }
-    const LengthSample lens = dataset.Sample(length_rng);
-    trace.push_back(Request{/*id=*/i, /*arrival_time=*/clock, lens.input_len, lens.output_len});
-  }
-  return trace;
+  return AssembleTrace(
+      spec.requests_per_source, [&](int) { return arrivals.NextGap(arrival_rng); },
+      [&](int) { return dataset.Sample(length_rng); });
 }
 
 Trace GenerateFleetTrace(const FleetTraceSpec& spec, const Dataset& dataset) {

@@ -16,6 +16,11 @@
 
 namespace distserve::workload {
 
+// The RNG streams every generator here forks from its seed: arrival gaps draw from one, lengths
+// from the other, so request i's lengths are the same at every rate (TraceCache relies on it).
+inline constexpr uint64_t kArrivalStream = 1;
+inline constexpr uint64_t kLengthStream = 2;
+
 struct TraceSpec {
   double rate = 1.0;          // mean requests/second
   double burstiness_cv = 1.0; // 1.0 = Poisson
@@ -25,6 +30,23 @@ struct TraceSpec {
 
 // Generates `spec.num_requests` requests with arrival times starting at 0.
 Trace GenerateTrace(const TraceSpec& spec, const Dataset& dataset);
+
+// Requests 0..n-1 arriving from 0: gap(i) before each request i > 0, then lengths(i) for
+// every request. The one trace-assembly loop: generation and TraceCache share it.
+template <typename Gap, typename Lengths>
+Trace AssembleTrace(int n, Gap gap, Lengths lengths) {
+  Trace trace;
+  trace.reserve(static_cast<size_t>(n));
+  double clock = 0.0;
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) {
+      clock += gap(i);
+    }
+    const LengthSample lens = lengths(i);
+    trace.push_back(Request{/*id=*/i, /*arrival_time=*/clock, lens.input_len, lens.output_len});
+  }
+  return trace;
+}
 
 // Generates a trace with an abrupt workload shift after `shift_after` requests: the remainder
 // is drawn from `second` at `second_rate`. Used by the replanning tests and example.

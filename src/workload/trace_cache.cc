@@ -7,86 +7,85 @@
 
 namespace distserve::workload {
 
-TraceCache::TraceCache(int64_t max_cached_requests)
-    : max_cached_requests_(max_cached_requests) {
-  DS_CHECK_GT(max_cached_requests, 0);
+namespace {
+
+std::string TableKey(const TraceSpec& spec, const Dataset& dataset) {
+  // Hexfloat keeps the key exact: two CVs that differ in the last ulp draw differently.
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a|%" PRIu64 "|", spec.burstiness_cv, spec.seed);
+  return buf + dataset.identity();
 }
 
-std::string TraceCache::MakeKey(const TraceSpec& spec, const Dataset& dataset) {
-  // Hexfloat formatting keeps the key exact: two rates that differ in the last ulp are
-  // different generation inputs and must not collide.
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "%a|%a|%d|%" PRIu64 "|", spec.rate, spec.burstiness_cv,
-                spec.num_requests, spec.seed);
-  return std::string(buf) + dataset.identity();
+}  // namespace
+
+int64_t TraceCache::Table::Grow(int num_requests, const Dataset& dataset) {
+  const size_t n = static_cast<size_t>(num_requests);
+  const size_t before = draws->size();
+  if (before >= n) {
+    return 0;
+  }
+  // The streams continue where the last growth stopped, drawing in GenerateTrace's order.
+  auto grown = std::make_shared<std::vector<Draw>>();
+  grown->reserve(n);
+  grown->assign(draws->begin(), draws->end());
+  for (size_t i = grown->size(); i < n; ++i) {
+    Draw draw;
+    if (i > 0) {
+      draw.unit = arrival_rng.GammaUnit(unit_rate.shape(), &draw.post);
+    }
+    draw.lens = dataset.Sample(length_rng);
+    grown->push_back(draw);
+  }
+  draws = std::move(grown);
+  return static_cast<int64_t>(n - before);
 }
 
-std::shared_ptr<const Trace> TraceCache::Get(const TraceSpec& spec, const Dataset& dataset,
-                                             bool* hit) {
-  const std::string key = MakeKey(spec, dataset);
-  std::promise<std::shared_ptr<const Trace>> generated;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (hit != nullptr) {
-      *hit = true;
-    }
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second);  // move to front
-      return it->second->trace;
-    }
-    auto in_flight = pending_.find(key);
-    if (in_flight != pending_.end()) {
-      // Another caller is generating this trace: wait for it rather than generate a copy.
-      ++stats_.hits;
-      const std::shared_future<std::shared_ptr<const Trace>> trace = in_flight->second;
-      lock.unlock();
-      return trace.get();
-    }
-    if (hit != nullptr) {
-      *hit = false;
-    }
-    ++stats_.misses;
-    pending_.emplace(key, generated.get_future().share());
+TraceCache::Table& TraceCache::TableLocked(const std::string& key, const TraceSpec& spec) {
+  std::unique_ptr<Table>& table = tables_[key];
+  if (table == nullptr) {
+    const Rng root(spec.seed);
+    table = std::make_unique<Table>(GammaArrivals(1.0, spec.burstiness_cv),
+                                    root.Fork(kArrivalStream), root.Fork(kLengthStream));
   }
-  // Generate outside the lock: generation dominates, and other keys stay servable meanwhile.
-  std::shared_ptr<const Trace> trace;
-  try {
-    trace = std::make_shared<const Trace>(GenerateTrace(spec, dataset));
-  } catch (...) {
-    // Hand the failure to the waiters and let the next caller of this key retry.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      pending_.erase(key);
-    }
-    generated.set_exception(std::current_exception());
-    throw;
+  return *table;
+}
+
+Trace TraceCache::Get(const TraceSpec& spec, const Dataset& dataset, bool* hit) {
+  const bool seen = Count(spec, dataset);
+  if (hit != nullptr) {
+    *hit = seen;
   }
+  return Build(spec, dataset);
+}
+
+bool TraceCache::Count(const TraceSpec& spec, const Dataset& dataset) {
+  DS_CHECK_GT(spec.rate, 0.0);
+  const std::string key = TableKey(spec, dataset);
+  std::lock_guard<std::mutex> lock(mu_);
+  const bool seen = !TableLocked(key, spec).seen.emplace(spec.rate, spec.num_requests).second;
+  ++(seen ? stats_.hits : stats_.misses);
+  return seen;
+}
+
+Trace TraceCache::Build(const TraceSpec& spec, const Dataset& dataset) {
+  DS_CHECK_GT(spec.num_requests, 0);  // the rate is checked by GammaArrivals below
+  const std::string key = TableKey(spec, dataset);
+  std::shared_ptr<const std::vector<Draw>> draws;
+  double cv;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    pending_.erase(key);
-    lru_.push_front(Entry{key, trace});
-    index_.emplace(key, lru_.begin());
-    stats_.cached_requests += static_cast<int64_t>(trace->size());
-    stats_.entries = static_cast<int64_t>(lru_.size());
-    EvictIfOverBudgetLocked();
+    Table& table = TableLocked(key, spec);
+    stats_.drawn_requests += table.Grow(spec.num_requests, dataset);
+    draws = table.draws;
+    cv = table.unit_rate.cv();
   }
-  generated.set_value(trace);
-  return trace;
-}
 
-void TraceCache::EvictIfOverBudgetLocked() {
-  // Never evict the sole (possibly over-budget) entry: the freshly inserted trace must stay
-  // addressable for its own key.
-  while (stats_.cached_requests > max_cached_requests_ && lru_.size() > 1) {
-    const Entry& victim = lru_.back();
-    stats_.cached_requests -= static_cast<int64_t>(victim.trace->size());
-    ++stats_.evictions;
-    index_.erase(victim.key);
-    lru_.pop_back();
-  }
-  stats_.entries = static_cast<int64_t>(lru_.size());
+  // Already-clamped cv: the process validates the rate without repeating the clamp warning.
+  const GammaArrivals arrivals(spec.rate, cv);
+  const std::vector<Draw>& d = *draws;
+  return AssembleTrace(
+      spec.num_requests, [&](int i) { return arrivals.GapFromUnit(d[i].unit, d[i].post); },
+      [&](int i) { return d[i].lens; });
 }
 
 TraceCache::Stats TraceCache::stats() const {
@@ -96,8 +95,7 @@ TraceCache::Stats TraceCache::stats() const {
 
 void TraceCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
+  tables_.clear();
   stats_ = Stats{};
 }
 

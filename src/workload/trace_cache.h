@@ -1,27 +1,27 @@
-// Memoized trace generation for the placement search.
+// Probe traces for the placement search, built from rate-free draws.
 //
-// FindMaxRate regenerates a trace for every (rate, seed) probe, and the planner runs that
-// search once per candidate configuration — so the exponential-probe lattice rates (and any
-// repeated bisection midpoints) are generated dozens of times with identical TraceSpecs.
-// TraceCache shares those traces: the key is the full generation input (rate, burstiness,
-// request count, seed, dataset identity), so a hit returns a trace bit-identical to what
-// GenerateTrace would produce. Entries are LRU-evicted by a request-count budget (traces at
-// high probe rates hold up to `max_requests` entries each).
+// FindMaxRate samples a trace at every probe rate, once per candidate configuration. A trace
+// at rate r differs from one at any other rate only by a scale on its gaps: lengths come from
+// their own RNG stream, and each Gamma gap is Rng::GammaUnit's draws times a scale of 1/rate.
+// So TraceCache keeps one table of those draws per (seed, burstiness, dataset identity),
+// grown to the largest request count asked for, and Build rescales it into any rate's
+// trace, bit-identical to GenerateTrace. A hit means "this exact TraceSpec was counted
+// before", so hit and miss counts depend only on the keys counted, never on thread timing.
 //
-// Thread safety: all methods are safe to call concurrently. Misses are single-flight: the
-// first caller to miss a key generates its trace outside the lock, and concurrent callers for
-// the same key wait for that generation and count as hits. Without evictions the hit and miss
-// counts therefore depend only on the keys requested, not on thread timing.
+// Thread safety: all methods are safe to call concurrently. One mutex guards the tables and
+// seen keys; a table grows under it into a new immutable snapshot, and Build reads the
+// snapshot outside it.
 #ifndef DISTSERVE_WORKLOAD_TRACE_CACHE_H_
 #define DISTSERVE_WORKLOAD_TRACE_CACHE_H_
 
 #include <cstdint>
-#include <future>
-#include <list>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "workload/generator.h"
 
@@ -29,44 +29,49 @@ namespace distserve::workload {
 
 class TraceCache {
  public:
-  // `max_cached_requests` bounds the summed trace lengths kept resident (~48 bytes/request).
-  // The default holds roughly one planner invocation's working set at bench fidelity.
-  explicit TraceCache(int64_t max_cached_requests = 4'000'000);
-
-  // Returns the trace GenerateTrace(spec, dataset) would produce, generating on miss. The
-  // returned trace is shared and immutable; it stays valid after eviction. When `hit` is
+  // Returns GenerateTrace(spec, dataset), bit for bit, and counts it (Count). When `hit` is
   // non-null it reports whether this call was counted in stats().hits — callers sharing the
   // cache across threads must attribute hits through it, not by diffing the global stats.
-  std::shared_ptr<const Trace> Get(const TraceSpec& spec, const Dataset& dataset,
-                                   bool* hit = nullptr);
+  Trace Get(const TraceSpec& spec, const Dataset& dataset, bool* hit = nullptr);
+
+  // Get's two halves, for callers that build traces speculatively and decide later which
+  // ones count (the planner's fold): Build returns the trace and counts nothing; Count counts
+  // one request for `spec` without building it and returns whether it is a hit.
+  Trace Build(const TraceSpec& spec, const Dataset& dataset);
+  bool Count(const TraceSpec& spec, const Dataset& dataset);
 
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
-    int64_t evictions = 0;
-    int64_t cached_requests = 0;  // current residency, in requests
-    int64_t entries = 0;
+    int64_t drawn_requests = 0;  // requests drawn, summed over the draw tables
   };
   Stats stats() const;
 
   void Clear();
 
  private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const Trace> trace;
+  // Draws for request i: the gap before it (unused for i = 0) and its lengths.
+  struct Draw {
+    double unit = 0.0;
+    double post = 1.0;
+    LengthSample lens;
   };
-  using LruList = std::list<Entry>;
+  struct Table {
+    // Draws up to `num_requests`; returns how many it drew.
+    int64_t Grow(int num_requests, const Dataset& dataset);
 
-  static std::string MakeKey(const TraceSpec& spec, const Dataset& dataset);
-  void EvictIfOverBudgetLocked();
+    GammaArrivals unit_rate;  // fixes the clamped cv and the Gamma shape
+    Rng arrival_rng;
+    Rng length_rng;
+    // Replaced, never mutated, on growth.
+    std::shared_ptr<const std::vector<Draw>> draws = std::make_shared<std::vector<Draw>>();
+    std::set<std::pair<double, int>> seen;  // (rate, num_requests) counted so far
+  };
 
-  const int64_t max_cached_requests_;
+  Table& TableLocked(const std::string& key, const TraceSpec& spec);
+
   mutable std::mutex mu_;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<std::string, LruList::iterator> index_;
-  // Keys being generated, each with the future its waiting callers block on.
-  std::unordered_map<std::string, std::shared_future<std::shared_ptr<const Trace>>> pending_;
+  std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   Stats stats_;
 };
 

@@ -107,34 +107,52 @@ TEST(GoodputTest, WarmStartAlwaysPassingCapsOut) {
   EXPECT_GT(FindMaxRate(always, dataset, options), 1e4);
 }
 
+// Trace-cache hits among a search's probes, counted the way the planner's fold counts them.
+int CountHits(workload::TraceCache& cache, const workload::Dataset& dataset,
+              const GoodputSearchStats& stats) {
+  int hits = 0;
+  for (const workload::TraceSpec& spec : stats.probe_specs) {
+    hits += cache.Count(spec, dataset) ? 1 : 0;
+  }
+  return hits;
+}
+
 TEST(GoodputTest, TraceCacheDoesNotChangeResultAndHits) {
   workload::FixedDataset dataset(100, 10);
   auto decay = [](const workload::Trace& trace) {
     const double rate = workload::ComputeTraceStats(trace).observed_rate;
     return std::max(0.0, 1.0 - rate / 10.0);
   };
-  const double uncached = FindMaxRate(decay, dataset, FastOptions());
+  GoodputSearchStats uncached_stats;
+  const double uncached = FindMaxRate(decay, dataset, FastOptions(), &uncached_stats);
   workload::TraceCache cache;
   GoodputSearchOptions options = FastOptions();
   options.trace_cache = &cache;
-  const double first = FindMaxRate(decay, dataset, options);
+  GoodputSearchStats first_stats;
+  const double first = FindMaxRate(decay, dataset, options, &first_stats);
   GoodputSearchStats second_stats;
   const double second = FindMaxRate(decay, dataset, options, &second_stats);
   EXPECT_DOUBLE_EQ(first, uncached);
   EXPECT_DOUBLE_EQ(second, uncached);
-  // The second search re-visits the exact probe lattice: every trace comes from the cache.
-  EXPECT_EQ(second_stats.trace_cache_hits, second_stats.probes);
+  // Every probe lists its trace spec; the search itself counts nothing.
+  ASSERT_EQ(static_cast<int>(first_stats.probe_specs.size()), first_stats.probes);
+  EXPECT_EQ(first_stats.probes, uncached_stats.probes);
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0);
+  // The second search re-visits the exact probe lattice: every trace spec was seen before.
+  CountHits(cache, dataset, first_stats);
+  EXPECT_EQ(CountHits(cache, dataset, second_stats), second_stats.probes);
 }
 
 TEST(GoodputTest, ConcurrentSearchesAttributeOnlyTheirOwnCacheHits) {
-  // Planner threads share one trace cache. Each search must count the hits its own probes
-  // got, so the per-search counts sum to exactly the cache's global hit count however the
-  // threads interleave.
+  // Planner threads share one trace cache, building probe traces from it concurrently. Each
+  // search counts the hits of its own probes, so the per-search counts sum to exactly the
+  // cache's global hit count however the threads interleave.
   workload::FixedDataset dataset(100, 10);
   workload::TraceCache cache;
   constexpr int kThreads = 4;
   constexpr int kSearchesPerThread = 6;
   std::vector<GoodputSearchStats> stats(kThreads * kSearchesPerThread);
+  std::vector<int> attributed_hits(kThreads * kSearchesPerThread, 0);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -147,7 +165,9 @@ TEST(GoodputTest, ConcurrentSearchesAttributeOnlyTheirOwnCacheHits) {
         };
         GoodputSearchOptions options = FastOptions();
         options.trace_cache = &cache;
-        FindMaxRate(decay, dataset, options, &stats[t * kSearchesPerThread + s]);
+        const int k = t * kSearchesPerThread + s;
+        FindMaxRate(decay, dataset, options, &stats[k]);
+        attributed_hits[k] = CountHits(cache, dataset, stats[k]);
       }
     });
   }
@@ -156,9 +176,9 @@ TEST(GoodputTest, ConcurrentSearchesAttributeOnlyTheirOwnCacheHits) {
   }
   int64_t attributed = 0;
   int64_t probes = 0;
-  for (const GoodputSearchStats& s : stats) {
-    attributed += s.trace_cache_hits;
-    probes += s.probes;
+  for (size_t k = 0; k < stats.size(); ++k) {
+    attributed += attributed_hits[k];
+    probes += stats[k].probes;
   }
   const workload::TraceCache::Stats cache_stats = cache.stats();
   EXPECT_GT(cache_stats.hits, 0);

@@ -53,6 +53,8 @@ void ExpectResultsIdentical(const PlannerResult& a, const PlannerResult& b) {
   EXPECT_EQ(a.simulations_run, b.simulations_run);
   EXPECT_EQ(a.simulations_skipped, b.simulations_skipped);
   EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.probes, b.probes);
+  EXPECT_EQ(a.trace_cache_hits, b.trace_cache_hits);  // seen trace specs, not thread timing
 }
 
 TEST(PlannerParallelTest, HighAffinityBitIdenticalAcrossThreadCounts) {

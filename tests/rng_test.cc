@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace distserve {
@@ -136,6 +138,62 @@ TEST(RngTest, GammaShapeBelowOne) {
     sum += x;
   }
   EXPECT_NEAR(sum / n, shape * scale, 0.03);
+}
+
+// The Marsaglia–Tsang sampler as Rng::Gamma computed it before the rate-free split
+// (GammaUnit): the split must reproduce it bit for bit, draw for draw.
+double ReferenceGamma(Rng& rng, double shape, double scale) {
+  if (shape < 1.0) {
+    const double u = rng.NextDouble();
+    return ReferenceGamma(rng, shape + 1.0, scale) * std::pow(u, 1.0 / shape);
+  }
+  const double d = shape - 1.0 / 3.0;
+  const double c = 1.0 / std::sqrt(9.0 * d);
+  while (true) {
+    double x = rng.Normal(0.0, 1.0);
+    double v = 1.0 + c * x;
+    if (v <= 0.0) {
+      continue;
+    }
+    v = v * v * v;
+    const double u = rng.NextDouble();
+    if (u < 1.0 - 0.0331 * x * x * x * x) {
+      return d * v * scale;
+    }
+    if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
+      return d * v * scale;
+    }
+  }
+}
+
+TEST(RngTest, GammaMatchesReferenceFormulaBitForBit) {
+  for (const double shape : {0.1, 0.25, 0.5, 0.999, 1.0, 1.5, 2.0, 4.0, 16.0, 64.0}) {
+    for (const double scale : {1e-3, 0.37, 1.0, 250.0}) {
+      Rng reference(31);
+      Rng gamma(31);
+      Rng unit(31);
+      for (int i = 0; i < 2000; ++i) {
+        const double want = ReferenceGamma(reference, shape, scale);
+        EXPECT_EQ(std::bit_cast<uint64_t>(gamma.Gamma(shape, scale)),
+                  std::bit_cast<uint64_t>(want))
+            << "shape=" << shape << " scale=" << scale << " draw " << i;
+        double post = 0.0;
+        const double u = unit.GammaUnit(shape, &post);
+        EXPECT_EQ(std::bit_cast<uint64_t>(u * scale * post), std::bit_cast<uint64_t>(want))
+            << "shape=" << shape << " scale=" << scale << " draw " << i;
+        if (shape >= 1.0) {
+          EXPECT_EQ(post, 1.0);
+        }
+      }
+      // Same draws consumed, cached Box–Muller value included.
+      const double next_normal = reference.Normal(0.0, 1.0);
+      EXPECT_EQ(gamma.Normal(0.0, 1.0), next_normal);
+      EXPECT_EQ(unit.Normal(0.0, 1.0), next_normal);
+      const uint64_t next_draw = reference.NextU64();
+      EXPECT_EQ(gamma.NextU64(), next_draw);
+      EXPECT_EQ(unit.NextU64(), next_draw);
+    }
+  }
 }
 
 TEST(RngTest, LogNormalMedian) {
